@@ -1,0 +1,83 @@
+"""Golden corpus: fixed inputs whose outputs must stay byte for byte the same.
+
+For every catalog class with n <= 10 and a few seeded, relabelled connected
+sums, ``golden/corpus.json`` holds the graph file text and, as produced
+when the corpus was made, the sha256 of its fingerprint, the sha256 of its
+certificate file, the ``gemsurf info`` output and the reduced form.
+
+To rebuild the corpus after an intended change of output, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import gemsurf as gs
+from gemsurf import fileio
+from gemsurf.cli import main
+from gemsurf.reduction import parse_form_token
+
+CORPUS = Path(__file__).with_name("golden") / "corpus.json"
+SUMS = (("T5", "P3"), ("P7", "P8"), ("T4", "T7"), ("T11", "P2"), ("P15", "T8"),
+        ("T12", "T12"))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def outputs(text: str) -> dict[str, str]:
+    """Every recorded output for one graph file text."""
+    g = fileio.parse_graph(text)
+    form, cert = gs.reduce(g)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.gem"
+        path.write_text(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["info", str(path)]) == 0
+    return {
+        "fingerprint_sha256": _sha(gs.fingerprint(g)),
+        "certificate_sha256": _sha(fileio.write_certificate(g, cert)),
+        "info": out.getvalue(),
+        "form": str(form),
+    }
+
+
+def inputs() -> dict[str, str]:
+    """The corpus inputs as graph file text, made from fixed seeds."""
+    found = {}
+    for n in range(2, 11, 2):
+        for i, entry in enumerate(gs.enumerate_contracted(n).classes):
+            found[f"catalog-n{n}-{i:02d}"] = fileio.write_graph(entry.graph)
+    rng = random.Random(2016)
+    for a, b in SUMS:
+        g1, g2 = (gs.realize(parse_form_token(tok)) for tok in (a, b))
+        g = gs.connected_sum(g1, rng.randint(1, g1.n), g2, rng.randint(1, g2.n))
+        images = list(range(1, g.n + 1))
+        rng.shuffle(images)
+        g = gs.relabel(g, dict(zip(range(1, g.n + 1), images)))
+        found[f"sum-{a}-{b}-n{g.n}"] = fileio.write_graph(g)
+    return found
+
+
+def test_golden():
+    corpus = json.loads(CORPUS.read_text())
+    changed = [name for name, case in sorted(corpus.items())
+               if outputs(case["gem"]) != {k: v for k, v in case.items() if k != "gem"}]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    corpus = {name: {"gem": text, **outputs(text)} for name, text in inputs().items()}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(corpus)} cases to {CORPUS}")

@@ -76,7 +76,7 @@ def _standard_cycle_matchings(n: int):
         j = i + 1 if i < n else 1
         m1[i] = j
         m1[j] = i
-    return m0, m1
+    return tuple(m0), tuple(m1)
 
 
 def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
@@ -98,10 +98,7 @@ def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
         for (u, v) in pairs:
             m2[u] = v
             m2[v] = u
-        g = graph_from_matchings(n,
-                                 {i: m0[i] for i in range(1, n + 1)},
-                                 {i: m1[i] for i in range(1, n + 1)},
-                                 {i: m2[i] for i in range(1, n + 1)})
+        g = graph_from_matchings(n, m0, m1, m2)
         if len(bicolored_cycles(g, 0, 2).cycles) != 1:
             continue
         if len(bicolored_cycles(g, 1, 2).cycles) != 1:

@@ -4,6 +4,11 @@ A graph is stored as three fixed-point-free involutions on the vertex set
 {1..n}, one per color.  ``matchings[c][u]`` is the unique color-``c``
 neighbor of ``u``.  Proper coloring and looplessness are structural:
 every vertex has exactly one neighbor per color and never itself.
+
+Every operation builds its result as three such rows and passes them to
+``graph_from_matchings``, the one internal constructor.  ``validate`` is
+the one checker of (color, u, v) edge records, for library callers and
+file parsers alike.
 """
 
 from __future__ import annotations
@@ -86,38 +91,37 @@ class ColoredGraph:
         return True
 
 
-def graph_from_matchings(n: int, m0: dict[int, int], m1: dict[int, int], m2: dict[int, int]) -> ColoredGraph:
-    """Build a graph from three vertex->neighbor maps (validated)."""
-    ms = []
-    for c, m in enumerate((m0, m1, m2)):
-        row = [0] * (n + 1)
-        for u in range(1, n + 1):
-            if u not in m:
-                raise ValidationError(f"missing color {c} at vertex {u}")
-            row[u] = m[u]
-        ms.append(tuple(row))
-    return ColoredGraph(n, tuple(ms))
+def graph_from_matchings(n: int, m0, m1, m2) -> ColoredGraph:
+    """Build a graph from three neighbor rows of length n+1, slot 0 unused (validated)."""
+    return ColoredGraph(n, (tuple(m0), tuple(m1), tuple(m2)))
+
+
+def _copy_edges(rows: list[list[int]], g: ColoredGraph, new: dict[int, int]) -> None:
+    """Write into ``rows`` every edge of g with both ends kept by ``new`` (old -> new)."""
+    for m, row in zip(g.matchings, rows):
+        for u, x in new.items():
+            v = m[u]
+            if v in new:
+                row[x] = new[v]
 
 
 def graph_from_pairs(n: int, pairs_by_color: tuple) -> ColoredGraph:
     """Build a graph from three lists of vertex pairs, one list per color."""
-    records = []
-    for c in COLORS:
-        for (u, v) in pairs_by_color[c]:
-            records.append((c, u, v))
-    return validate(n, records)
+    return validate(n, ((c, u, v) for c in COLORS for (u, v) in pairs_by_color[c]))
 
 
 def validate(n: int, edge_records) -> ColoredGraph:
-    """Check a list of (color, u, v) records and return the graph.
+    """Check (color, u, v) records and return the graph.
 
+    This is the package's one checker of edge records; file parsers feed
+    it their records one at a time, so the first faulty record raises.
     Errors: odd or non-positive vertex count, vertex index out of range,
     loop edge, color not in {0,1,2}, duplicate color at a vertex, missing
     color at a vertex.
     """
     if n < 2 or n % 2 != 0:
         raise ValidationError(f"vertex count must be a positive even integer, got {n}")
-    maps: list[dict[int, int]] = [{}, {}, {}]
+    rows = [[0] * (n + 1) for _ in COLORS]
     for (c, u, v) in edge_records:
         if c not in COLORS:
             raise ValidationError(f"invalid color {c} on edge {u}-{v}")
@@ -125,29 +129,27 @@ def validate(n: int, edge_records) -> ColoredGraph:
             raise ValidationError(f"vertex index out of range on color-{c} edge {u}-{v}")
         if u == v:
             raise ValidationError(f"loop of color {c} at vertex {u}")
+        row = rows[c]
         for w in (u, v):
-            if w in maps[c]:
+            if row[w]:
                 raise ValidationError(f"duplicate color {c} at vertex {w}")
-        maps[c][u] = v
-        maps[c][v] = u
-    for c in COLORS:
-        for u in range(1, n + 1):
-            if u not in maps[c]:
-                raise ValidationError(f"missing color {c} at vertex {u}")
-    return graph_from_matchings(n, *maps)
+        row[u] = v
+        row[v] = u
+    for c, row in zip(COLORS, rows):
+        if 0 in row[1:]:
+            raise ValidationError(f"missing color {c} at vertex {row.index(0, 1)}")
+    return graph_from_matchings(n, *rows)
 
 
 def relabel(g: ColoredGraph, perm: dict[int, int]) -> ColoredGraph:
     """Apply the vertex bijection ``perm`` (old -> new) to ``g``."""
     if sorted(perm) != list(range(1, g.n + 1)) or sorted(perm.values()) != list(range(1, g.n + 1)):
         raise ValidationError("relabeling is not a bijection of 1..n")
-    ms = []
-    for c in COLORS:
-        row = [0] * (g.n + 1)
+    rows = [[0] * (g.n + 1) for _ in COLORS]
+    for m, row in zip(g.matchings, rows):
         for u in range(1, g.n + 1):
-            row[perm[u]] = perm[g.matchings[c][u]]
-        ms.append(tuple(row))
-    return ColoredGraph(g.n, tuple(ms))
+            row[perm[u]] = perm[m[u]]
+    return graph_from_matchings(g.n, *rows)
 
 
 # ============================================================
@@ -347,16 +349,11 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
 # ============================================================
 
 
-def _compact_map(n: int, removed: tuple[int, ...]) -> dict[int, int]:
-    """Order-preserving renumbering of {1..n} minus ``removed`` onto 1..n-len."""
-    out = {}
-    new = 0
-    rem = set(removed)
-    for v in range(1, n + 1):
-        if v not in rem:
-            new += 1
-            out[v] = new
-    return out
+def renumbering(n: int, removed) -> dict[int, int]:
+    """Order-preserving renumbering of {1..n} minus ``removed`` onto 1..n-len(removed)."""
+    gone = set(removed)
+    kept = [v for v in range(1, n + 1) if v not in gone]
+    return {v: new for new, v in enumerate(kept, start=1)}
 
 
 def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int,
@@ -376,24 +373,18 @@ def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int,
         if b1 is not None and b2 is not None and b1.type_of(v1) == b2.type_of(v2):
             raise GemError(
                 f"type rule violated: vertices {v1} and {v2} are both {b1.type_of(v1)}")
-    r1 = _compact_map(g1.n, (v1,))
-    r2 = {u: new + (g1.n - 1) for u, new in _compact_map(g2.n, (v2,)).items()}
+    r1 = renumbering(g1.n, (v1,))
+    r2 = {u: new + (g1.n - 1) for u, new in renumbering(g2.n, (v2,)).items()}
     n = g1.n + g2.n - 2
-    maps: list[dict[int, int]] = [{}, {}, {}]
-    for c in COLORS:
-        for (u, v) in g1.edges_of_color(c):
-            if v1 not in (u, v):
-                maps[c][r1[u]] = r1[v]
-                maps[c][r1[v]] = r1[u]
-        for (u, v) in g2.edges_of_color(c):
-            if v2 not in (u, v):
-                maps[c][r2[u]] = r2[v]
-                maps[c][r2[v]] = r2[u]
+    rows = [[0] * (n + 1) for _ in COLORS]
+    _copy_edges(rows, g1, r1)
+    _copy_edges(rows, g2, r2)
+    for c, row in zip(COLORS, rows):
         a = r1[g1.matchings[c][v1]]
         b = r2[g2.matchings[c][v2]]
-        maps[c][a] = b
-        maps[c][b] = a
-    return graph_from_matchings(n, *maps)
+        row[a] = b
+        row[b] = a
+    return graph_from_matchings(n, *rows)
 
 
 @dataclass(frozen=True)
@@ -473,21 +464,17 @@ def extract_summands(g: ColoredGraph, s: Seam) -> tuple[ColoredGraph, int, Color
     if check is None or {check.side_a, check.side_b} != {s.side_a, s.side_b}:
         raise SeamError("not a seam of this graph")
 
-    def build(side: frozenset[int]) -> tuple[ColoredGraph, int]:
-        order = {v: i + 1 for i, v in enumerate(sorted(side))}
-        apex = len(side) + 1
-        maps: list[dict[int, int]] = [{}, {}, {}]
-        for c in COLORS:
-            for (u, v) in g.edges_of_color(c):
-                if u in side and v in side:
-                    maps[c][order[u]] = order[v]
-                    maps[c][order[v]] = order[u]
-            (u, v) = s.edges[c]
-            end = u if u in side else v
-            maps[c][apex] = order[end]
-            maps[c][order[end]] = apex
-        return graph_from_matchings(len(side) + 1, *maps), apex
+    def build(other_side: frozenset[int]) -> tuple[ColoredGraph, int]:
+        order = renumbering(g.n, other_side)
+        apex = len(order) + 1
+        rows = [[0] * (apex + 1) for _ in COLORS]
+        _copy_edges(rows, g, order)
+        for (u, v), row in zip(s.edges, rows):
+            end = order[u] if u in order else order[v]
+            row[apex] = end
+            row[end] = apex
+        return graph_from_matchings(apex, *rows), apex
 
-    g1, u = build(s.side_a)
-    g2, v = build(s.side_b)
+    g1, u = build(s.side_b)
+    g2, v = build(s.side_a)
     return g1, u, g2, v

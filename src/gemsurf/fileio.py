@@ -4,6 +4,11 @@ Graph files:
     gem 1 <n>
     edge <color> <u> <v>        (exactly 3n/2 lines, 1 <= u < v <= n)
 
+``parse_graph`` checks only the file format: the header, the edge line
+syntax, u < v and the line count.  It hands the edge records one at a time
+to ``core.validate``, the package's only checker of edge records, and
+reports its errors as ``FormatError`` at the line of the faulty record.
+
 Trace files hold one record per line after a ``trace 1 <fingerprint>``
 header.  Pure move traces use cut/glue/cutglue/interchange records; a
 reduction certificate additionally uses compose records (one per
@@ -22,10 +27,11 @@ from .core import (
     COLORS,
     ColoredGraph,
     GemError,
+    ValidationError,
     _seam_from_triple,
     connected_sum,
     extract_summands,
-    graph_from_matchings,
+    validate,
 )
 from .moves import (
     Cut,
@@ -63,6 +69,13 @@ class FormatError(GemError):
         self.message = message
 
 
+def _parse_int(ln: int, text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(ln, f"{what} {text!r} is not an integer") from None
+
+
 def _meaningful_lines(text: str):
     """Yield (line_number, stripped_content) with comments and blanks removed."""
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -84,6 +97,7 @@ def write_graph(g: ColoredGraph) -> str:
 
 
 def parse_graph(text: str) -> ColoredGraph:
+    """Parse a graph file; every error is a FormatError naming the first faulty line."""
     lines = list(_meaningful_lines(text))
     if not lines:
         raise FormatError(1, "empty file; expected a 'gem' header")
@@ -93,47 +107,42 @@ def parse_graph(text: str) -> ColoredGraph:
         raise FormatError(ln, f"expected 'gem {VERSION} <n>', got {header!r}")
     if parts[1] != VERSION:
         raise FormatError(ln, f"unsupported format version {parts[1]!r}")
-    try:
-        n = int(parts[2])
-    except ValueError:
-        raise FormatError(ln, f"vertex count {parts[2]!r} is not an integer")
+    n = _parse_int(ln, parts[2], "vertex count")
     if n < 2 or n % 2 != 0:
         raise FormatError(ln, f"vertex count must be a positive even integer, got {n}")
-
     expected = 3 * n // 2
-    maps: list[dict[int, int]] = [{}, {}, {}]
-    count = 0
-    last_ln = ln
-    for ln, content in lines[1:]:
-        last_ln = ln
-        parts = content.split()
-        if parts[0] != "edge" or len(parts) != 4:
-            raise FormatError(ln, f"expected 'edge <color> <u> <v>', got {content!r}")
-        try:
-            c, u, v = int(parts[1]), int(parts[2]), int(parts[3])
-        except ValueError:
-            raise FormatError(ln, f"non-integer field in {content!r}")
-        if count == expected:
-            raise FormatError(ln, f"too many edge lines (expected 3n/2 = {expected})")
-        if c not in COLORS:
-            raise FormatError(ln, f"color must be 0, 1 or 2, got {c}")
-        if u == v:
-            raise FormatError(ln, f"loop edge at vertex {u}")
-        if not (1 <= u < v <= n):
-            raise FormatError(ln, f"edge endpoints must satisfy 1 <= u < v <= {n}")
-        for w in (u, v):
-            if w in maps[c]:
-                raise FormatError(ln, f"duplicate color {c} at vertex {w}")
-        maps[c][u] = v
-        maps[c][v] = u
-        count += 1
-    if count != expected:
-        raise FormatError(last_ln, f"expected 3n/2 = {expected} edge lines, found {count}")
-    for c in COLORS:
-        for u in range(1, n + 1):
-            if u not in maps[c]:
-                raise FormatError(last_ln, f"missing color {c} at vertex {u}")
-    return graph_from_matchings(n, *maps)
+
+    def records():
+        # ``ln`` tracks the line being read, so a ValidationError raised by
+        # ``validate`` while it consumes this generator points at its line.
+        nonlocal ln
+        count = 0
+        for ln, content in lines[1:]:
+            parts = content.split()
+            if parts[0] != "edge" or len(parts) != 4:
+                raise FormatError(ln, f"expected 'edge <color> <u> <v>', got {content!r}")
+            try:
+                c, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+            except ValueError:
+                raise FormatError(ln, f"non-integer field in {content!r}")
+            if count == expected:
+                raise FormatError(ln, f"too many edge lines (expected 3n/2 = {expected})")
+            if u > v:
+                raise FormatError(ln, f"edge endpoints must satisfy u < v, got {u} {v}")
+            count += 1
+            yield c, u, v
+        if count != expected:
+            raise FormatError(ln, f"expected 3n/2 = {expected} edge lines, found {count}")
+
+    if expected > len(lines) - 1:
+        # Too few lines for n, so the file is invalid: report its first
+        # faulty line or the count, without sizing rows by an untrusted n.
+        for _ in records():
+            pass
+    try:
+        return validate(n, records())
+    except ValidationError as exc:
+        raise FormatError(ln, str(exc)) from None
 
 
 # ============================================================
@@ -192,10 +201,7 @@ def _parse_colored_edge(ln: int, text: str, want_color: int) -> tuple[int, int]:
     if ":" not in text:
         raise FormatError(ln, f"expected <color>:<u>-<v>, got {text!r}")
     color, pair = text.split(":", 1)
-    try:
-        c = int(color)
-    except ValueError:
-        raise FormatError(ln, f"bad color in {text!r}")
+    c = _parse_int(ln, color, "edge color")
     if c != want_color:
         raise FormatError(ln, f"edge color {c} inconsistent with the cut color "
                               f"(expected {want_color})")
@@ -206,11 +212,8 @@ def _parse_cut_fields(ln: int, fields: dict[str, str]) -> CutSpec:
     for key in ("c", "ea", "eb", "arc"):
         if key not in fields:
             raise FormatError(ln, f"cut record missing field {key!r}")
-    try:
-        c = int(fields["c"])
-        arc = int(fields["arc"])
-    except ValueError:
-        raise FormatError(ln, "non-integer cut field")
+    c = _parse_int(ln, fields["c"], "cut color")
+    arc = _parse_int(ln, fields["arc"], "arc vertex")
     if c not in COLORS:
         raise FormatError(ln, f"bad cut color {c}")
     a, b = other_colors(c)
@@ -228,10 +231,7 @@ def _parse_seam_edges(ln: int, text: str):
         if ":" not in part:
             raise FormatError(ln, f"expected <color>:<u>-<v>, got {part!r}")
         color, pair = part.split(":", 1)
-        try:
-            c = int(color)
-        except ValueError:
-            raise FormatError(ln, f"bad color in {part!r}")
+        c = _parse_int(ln, color, "seam edge color")
         if c not in COLORS or edges[c] is not None:
             raise FormatError(ln, f"seam must list colors 0, 1, 2 once each")
         edges[c] = _parse_pair(ln, pair)
@@ -249,7 +249,7 @@ def parse_move_record(ln: int, content: str) -> tuple[Move, str]:
     if kind == "glue":
         if "c" not in fields or "w" not in fields:
             raise FormatError(ln, "glue record needs c= and w=")
-        c = int(fields["c"])
+        c = _parse_int(ln, fields["c"], "cut color")
         if c not in COLORS:
             raise FormatError(ln, f"bad cut color {c}")
         return Glue(GlueSpec(c, _parse_pair(ln, fields["w"]))), fp
@@ -263,7 +263,8 @@ def parse_move_record(ln: int, content: str) -> tuple[Move, str]:
             if key not in fields:
                 raise FormatError(ln, f"interchange record missing {key!r}")
         edges = _parse_seam_edges(ln, fields["seam"])
-        return Interchange(edges, int(fields["u'"]), int(fields["v'"])), fp
+        return Interchange(edges, _parse_int(ln, fields["u'"], "vertex u'"),
+                           _parse_int(ln, fields["v'"], "vertex v'")), fp
     raise FormatError(ln, f"unknown record kind {kind!r}")
 
 

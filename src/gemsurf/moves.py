@@ -13,6 +13,7 @@ from .core import (
     ColoredGraph,
     GemError,
     Seam,
+    _copy_edges,
     _seam_from_triple,
     bicolored_cycles,
     connected_components,
@@ -20,6 +21,7 @@ from .core import (
     extract_summands,
     graph_from_matchings,
     is_bipartite,
+    renumbering,
 )
 
 
@@ -173,41 +175,25 @@ def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
     else:
         raise MoveError(f"arc vertex {spec.arc_vertex} is not on the cut cycle")
 
-    n = g.n
-    z1, z2 = n + 1, n + 2
-    maps: list[dict[int, int]] = [{}, {}, {}]
-    for color in COLORS:
-        for (u, v) in g.edges_of_color(color):
-            if (color == a and (u, v) == ea) or (color == b and (u, v) == eb):
-                continue
-            maps[color][u] = v
-            maps[color][v] = u
+    # Every end of edge_a and edge_b is rewelded to z1 or z2 below, which
+    # overwrites the two removed edges in the copied rows.
+    z1, z2 = g.n + 1, g.n + 2
+    rows = [list(m) + [0, 0] for m in g.matchings]
     for z, arc_z in ((z1, arc_z1), (z2, arc_z2)):
         end_a = arc_z[0] if arc_z is arc1 else arc_z[-1]
         end_b = arc_z[-1] if arc_z is arc1 else arc_z[0]
-        maps[a][z] = end_a
-        maps[a][end_a] = z
-        maps[b][z] = end_b
-        maps[b][end_b] = z
-    maps[c][z1] = z2
-    maps[c][z2] = z1
-    return graph_from_matchings(n + 2, *maps)
+        rows[a][z] = end_a
+        rows[a][end_a] = z
+        rows[b][z] = end_b
+        rows[b][end_b] = z
+    rows[c][z1] = z2
+    rows[c][z2] = z1
+    return graph_from_matchings(z2, *rows)
 
 
 # ============================================================
 # Simple glueing
 # ============================================================
-
-
-def glue_relabeling(n: int, w1: int, w2: int) -> dict[int, int]:
-    """The order-preserving renumbering a glue applies to surviving vertices."""
-    out = {}
-    new = 0
-    for v in range(1, n + 1):
-        if v not in (w1, w2):
-            new += 1
-            out[v] = new
-    return out
 
 
 def _check_glue(g: ColoredGraph, spec: GlueSpec) -> tuple[int, int]:
@@ -230,20 +216,16 @@ def simple_glue(g: ColoredGraph, spec: GlueSpec) -> ColoredGraph:
     """Delete the glue pair and reweld its {a,b}-neighbors, merging two cycles."""
     a, b = _check_glue(g, spec)
     w1, w2 = spec.pair
-    r = glue_relabeling(g.n, w1, w2)
-    maps: list[dict[int, int]] = [{}, {}, {}]
-    for color in COLORS:
-        for (u, v) in g.edges_of_color(color):
-            if u in (w1, w2) or v in (w1, w2):
-                continue
-            maps[color][r[u]] = r[v]
-            maps[color][r[v]] = r[u]
+    r = renumbering(g.n, spec.pair)
+    n = g.n - 2
+    rows = [[0] * (n + 1) for _ in COLORS]
+    _copy_edges(rows, g, r)
     for d in (a, b):
         x = r[g.matchings[d][w1]]
         y = r[g.matchings[d][w2]]
-        maps[d][x] = y
-        maps[d][y] = x
-    return graph_from_matchings(g.n - 2, *maps)
+        rows[d][x] = y
+        rows[d][y] = x
+    return graph_from_matchings(n, *rows)
 
 
 def cut_and_glue(g: ColoredGraph, cut: CutSpec, glue: GlueSpec) -> ColoredGraph:
@@ -306,12 +288,11 @@ def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredG
 # ============================================================
 
 
-def _bfs_encoding(g: ColoredGraph, root: int) -> tuple | None:
+def _bfs_encoding(g: ColoredGraph, root: int) -> tuple:
     """Relabel root's component by first-visit order (neighbors in color order).
 
     Returns (size, m0, m1, m2) with matchings restricted to the component
-    in the new labels, or None if the component misses part of the graph
-    the caller cares about (callers split components beforehand).
+    in the new labels, each row listing new labels 1..size in order.
     """
     label = {root: 1}
     order = [root]
@@ -324,11 +305,7 @@ def _bfs_encoding(g: ColoredGraph, root: int) -> tuple | None:
             if v not in label:
                 label[v] = len(order) + 1
                 order.append(v)
-    k = len(order)
-    rows = []
-    for c in COLORS:
-        rows.append(tuple(label[g.matchings[c][u]] for u in order))
-    return (k, rows[0], rows[1], rows[2])
+    return (len(order), *(tuple(label[m[u]] for u in order) for m in g.matchings))
 
 
 def canonical_graph(g: ColoredGraph) -> ColoredGraph:
@@ -339,24 +316,15 @@ def canonical_graph(g: ColoredGraph) -> ColoredGraph:
     This is a canonical labeling, so equality of canonical graphs is
     exactly isomorphism.
     """
-    comps = connected_components(g)
-    encs = []
-    for comp in comps:
-        best = None
-        for root in sorted(comp):
-            enc = _bfs_encoding(g, root)
-            if best is None or enc < best:
-                best = enc
-        encs.append(best)
-    encs.sort()
-    maps: list[dict[int, int]] = [{}, {}, {}]
+    encs = sorted(min(_bfs_encoding(g, root) for root in sorted(comp))
+                  for comp in connected_components(g))
+    rows: list[list[int]] = [[0], [0], [0]]
     offset = 0
-    for (k, m0, m1, m2) in encs:
-        for c, row in enumerate((m0, m1, m2)):
-            for u in range(1, k + 1):
-                maps[c][offset + u] = offset + row[u - 1]
+    for (k, *enc_rows) in encs:
+        for row, enc in zip(rows, enc_rows):
+            row.extend(offset + x for x in enc)
         offset += k
-    return graph_from_matchings(g.n, *maps)
+    return graph_from_matchings(g.n, *rows)
 
 
 def fingerprint(g: ColoredGraph) -> str:

@@ -28,6 +28,7 @@ from .core import (
     graph_from_pairs,
     is_bipartite,
     is_contracted,
+    renumbering,
     seam_from_side,
 )
 from .moves import (
@@ -37,7 +38,6 @@ from .moves import (
     apply_move,
     cut_spec,
     fingerprint,
-    glue_relabeling,
     record_trace,
     verify_trace,
 )
@@ -262,7 +262,7 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     edge, seams re-derived via extract_summands, and every recombined
     graph rebuilt with the type rule enforced.
     """
-    if realize(cert.conclusion).n != g.n:
+    if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
     form = _verify_node(g, cert.root)
     if form != cert.conclusion:
@@ -272,8 +272,9 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
 
 def _verify_node(g: ColoredGraph, node: Cert) -> CanonicalForm:
     if isinstance(node, IsoCert):
-        target = realize(node.form)
-        if not _check_iso_mapping(g, target, dict(node.mapping)):
+        # Compare sizes before realize: a claimed form's size is untrusted.
+        if (node.form.vertex_count != g.n
+                or not _check_iso_mapping(g, realize(node.form), dict(node.mapping))):
             raise CertificateError(f"isomorphism witness onto {node.form} is invalid")
         return node.form
     if isinstance(node, TraceCert):
@@ -415,7 +416,7 @@ def split_off_T1(g: ColoredGraph) -> SplitOff:
         cut_spec(2, (v[2 * r - 1], v[2 * r]), (v[2], v[3]), arc_vertex=v[3]),
         GlueSpec(2, (v[s2], v[t2])))
     g1 = apply_move(g, move1)
-    r1 = glue_relabeling(n + 2, v[s2], v[t2])
+    r1 = renumbering(n + 2, (v[s2], v[t2]))
     z1, z2 = r1[n + 1], r1[n + 2]
     v1, v2, v2r = r1[v[1]], r1[v[2]], r1[v[2 * r]]
 
@@ -424,7 +425,7 @@ def split_off_T1(g: ColoredGraph) -> SplitOff:
                  tuple(sorted((z1, g1.matchings[1][z1]))), arc_vertex=v2),
         GlueSpec(2, (v2r, v1)))
     g2 = apply_move(g1, move2)
-    r2 = glue_relabeling(n + 2, v2r, v1)
+    r2 = renumbering(n + 2, (v2r, v1))
     block = frozenset({r2[z1], r2[z2], r2[v2], r2[n + 1], r2[n + 2]})
 
     trace = MoveTrace(fingerprint(g), ((move1, fingerprint(g1)), (move2, fingerprint(g2))))
@@ -498,7 +499,7 @@ def split_off_P1(g: ColoredGraph) -> SplitOff:
         cut_spec(2, (v[1], v[2]), (v[2 * r - 2], v[2 * r - 1]), arc_vertex=v[2]),
         GlueSpec(2, (v[sp], v[tp])))
     g1 = apply_move(g, move)
-    r1 = glue_relabeling(n + 2, v[sp], v[tp])
+    r1 = renumbering(n + 2, (v[sp], v[tp]))
     block = frozenset({r1[v[1]], r1[n + 2], r1[v[2 * r - 1]]})
 
     trace = MoveTrace(fingerprint(g), ((move, fingerprint(g1)),))

@@ -160,6 +160,17 @@ def test_apply_rejects_certificate(tmp_path, capsys):
     assert "plain move trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record", [
+    "glue c=x w=1-2 -> fp",
+    "interchange seam=0:1-4,1:2-5,2:3-6 u'=a v'=1 -> fp",
+    "interchange seam=0:1-4,1:2-5,2:3-6 u'=1 v'=b -> fp",
+])
+def test_verify_malformed_trace_field_is_format_error(tmp_path, capsys, record):
+    tf = write(tmp_path, "bad.trace", f"trace 1 fp\n{record}\n")
+    assert main(["verify", t1_file(tmp_path), tf]) == 3
+    assert "line 2:" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.gem")]) == 2
 

@@ -140,7 +140,7 @@ def test_cut_inverts_glue_everywhere():
             a, b = other_colors(c)
             for glue in enumerate_glue_specs(gbar, c):
                 w1, w2 = glue.pair
-                r = gs.moves.glue_relabeling(gbar.n, w1, w2)
+                r = gs.core.renumbering(gbar.n, (w1, w2))
                 ea = tuple(sorted((r[gbar.neighbor(a, w1)], r[gbar.neighbor(a, w2)])))
                 eb = tuple(sorted((r[gbar.neighbor(b, w1)], r[gbar.neighbor(b, w2)])))
                 h = gs.simple_glue(gbar, glue)

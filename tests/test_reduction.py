@@ -3,7 +3,7 @@ import random
 import pytest
 
 import gemsurf as gs
-from gemsurf import CertificateError, ReductionError
+from gemsurf import CertificateError, ReductionError, fileio
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.reduction import (
     IsoCert,
@@ -281,6 +281,29 @@ def test_certificate_wrong_graph_rejected():
 def test_certificate_wrong_conclusion_rejected():
     g, form, cert = _sample_cert()
     bad = gs.ReductionCertificate(form_P(4), cert.root)
+    with pytest.raises(CertificateError):
+        gs.verify_certificate(g, bad)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_oversized_conclusion_rejected_before_realize(monkeypatch, block):
+    # An edited conclude line must be rejected by size, never built: make_T
+    # costs time and memory that grow with the claimed index.
+    g = gs.make_T(2)
+    _, cert = gs.reduce(g)
+    lines = fileio.write_certificate(g, cert).splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("conclude ")][block]
+    lines[at] = "conclude T100000 " + lines[at].split()[2]
+    bad = fileio.parse_certificate("\n".join(lines) + "\n")
+
+    make_t = gs.reduction.make_T
+
+    def guarded(m):
+        if m == 100000:
+            raise AssertionError("make_T(100000) called before the size check")
+        return make_t(m)
+
+    monkeypatch.setattr(gs.reduction, "make_T", guarded)
     with pytest.raises(CertificateError):
         gs.verify_certificate(g, bad)
 

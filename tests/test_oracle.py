@@ -1,7 +1,8 @@
 """Fingerprints checked against an isomorphism test from outside the package.
 
 Two graphs must have equal fingerprints exactly when networkx finds a
-color-preserving isomorphism between them.
+color-preserving isomorphism between them, and ``are_isomorphic`` must
+give the same answer.
 """
 
 import itertools
@@ -28,18 +29,24 @@ def relabelled(g, rng):
     return gs.relabel(g, dict(zip(range(1, g.n + 1), images)))
 
 
+def assert_agree(g, h, isomorphic):
+    """g and h are (graph, networkx copy) pairs."""
+    assert nx.is_isomorphic(g[1], h[1], edge_match=SAME_COLORS) == isomorphic
+    assert (gs.are_isomorphic(g[0], h[0]) is not None) == isomorphic
+
+
 def assert_fingerprints_match_networkx(graphs):
     # Isomorphism is an equivalence, so comparing every member with its
     # class's first graph, and the first graphs with each other, covers
-    # every pair.
+    # every pair.  are_isomorphic is held to the same answers.
     classes = {}
     for g in graphs:
-        classes.setdefault(gs.fingerprint(g), []).append(to_networkx(g))
+        classes.setdefault(gs.fingerprint(g), []).append((g, to_networkx(g)))
     for first, *rest in classes.values():
         for h in rest:
-            assert nx.is_isomorphic(first, h, edge_match=SAME_COLORS)
+            assert_agree(first, h, True)
     for (a, *_), (b, *_) in itertools.combinations(classes.values(), 2):
-        assert not nx.is_isomorphic(a, b, edge_match=SAME_COLORS)
+        assert_agree(a, b, False)
 
 
 def test_catalog_classes_and_relabellings():

@@ -19,20 +19,17 @@ as further trace blocks in pre-order: after a block, the blocks of its
 first compose's left summand (with their own descendants), then the right
 summand's, and so on.  '#' begins a comment; blank lines are ignored.
 All writers emit fixed orderings, so write-read-write is byte identical.
+
+Certificate nodes carry the fingerprints their compose records print, so
+``write_certificate`` only serializes: it fingerprints the input graph
+once, for the root header, and replays nothing.  The writer and the parser
+walk the block tree with explicit stacks, so deep nesting costs no Python
+recursion.
 """
 
 from __future__ import annotations
 
-from .core import (
-    COLORS,
-    ColoredGraph,
-    GemError,
-    ValidationError,
-    _seam_from_triple,
-    connected_sum,
-    extract_summands,
-    validate,
-)
+from .core import COLORS, ColoredGraph, GemError, ValidationError, validate
 from .moves import (
     Cut,
     CutGlue,
@@ -44,7 +41,6 @@ from .moves import (
     MoveTrace,
     fingerprint,
     other_colors,
-    verify_trace,
 )
 from .reduction import (
     Cert,
@@ -54,7 +50,6 @@ from .reduction import (
     TraceCert,
     certificate_conclusion,
     parse_form_token,
-    realize,
 )
 
 VERSION = "1"
@@ -324,49 +319,29 @@ def _parse_mapping(ln: int, text: str) -> tuple[tuple[int, int], ...]:
 def write_certificate(g: ColoredGraph, cert: ReductionCertificate) -> str:
     """Serialize a certificate against its concrete input graph.
 
-    The writer replays traces and re-extracts summands so every compose
-    record carries the actual summand fingerprints.
+    Only the root header needs ``fingerprint(g)``; every other fingerprint
+    is carried by the certificate's own records.
     """
     blocks: list[str] = []
-
-    def emit(graph: ColoredGraph, node: Cert) -> None:
-        lines = [f"trace {VERSION} {fingerprint(graph)}"]
-        pending: list[tuple[ColoredGraph, Cert]] = []
-        current = graph
-        while True:
+    todo = [(fingerprint(g), cert.root)]  # (header, node) blocks, next one last
+    while todo:
+        header, node = todo.pop()
+        lines = [f"trace {VERSION} {header}"]
+        summands: list[tuple[str, Cert]] = []
+        while not isinstance(node, IsoCert):
             if isinstance(node, TraceCert):
-                for (move, fp) in node.trace.steps:
-                    lines.append(format_move(move, fp))
-                current = verify_trace(current, node.trace)
-                node = node.rest
+                lines.extend(format_move(move, fp) for (move, fp) in node.trace.steps)
             elif isinstance(node, RecombineCert):
-                seam = _seam_from_triple(current, node.seam_edges)
-                if seam is None:
-                    raise GemError("certificate seam does not match its graph")
-                g1, _, g2, _ = extract_summands(current, seam)
-                f_a = certificate_conclusion(node.left)
-                f_b = certificate_conclusion(node.right)
-                joined = connected_sum(realize(f_a), node.weld_a,
-                                       realize(f_b), node.weld_b)
-                lines.append(
-                    f"compose left={fingerprint(g1)} right={fingerprint(g2)} "
-                    f"seam={_fmt_seam(node.seam_edges)} "
-                    f"weld={node.weld_a}-{node.weld_b} -> {fingerprint(joined)}")
-                pending.append((g1, node.left))
-                pending.append((g2, node.right))
-                current = joined
-                node = node.rest
-            elif isinstance(node, IsoCert):
-                lines.append(f"conclude {node.form.token()} "
-                             f"map={_fmt_mapping(node.mapping)}")
-                break
+                lines.append(f"compose left={node.left_fp} right={node.right_fp} "
+                             f"seam={_fmt_seam(node.seam_edges)} "
+                             f"weld={node.weld_a}-{node.weld_b} -> {node.fp}")
+                summands += [(node.left_fp, node.left), (node.right_fp, node.right)]
             else:
                 raise GemError(f"unknown certificate node {node!r}")
+            node = node.rest
+        lines.append(f"conclude {node.form.token()} map={_fmt_mapping(node.mapping)}")
         blocks.append("\n".join(lines))
-        for sub_graph, sub_node in pending:
-            emit(sub_graph, sub_node)
-
-    emit(g, cert.root)
+        todo.extend(reversed(summands))
     return "\n".join(blocks) + "\n"
 
 
@@ -388,36 +363,49 @@ def _split_blocks(text: str):
 
 
 def parse_certificate(text: str) -> ReductionCertificate:
+    """Parse a certificate file; its blocks come in pre-order.
+
+    Each block is parsed by a generator that yields when a compose record
+    needs its summand blocks, so a list of suspended generators stands in
+    for recursion and nesting depth costs no Python stack.
+    """
     blocks = _split_blocks(text)
-    root, consumed = _parse_block_tree(blocks, 0)
+    stack = [_parse_block(blocks[0])]
+    consumed, sent = 1, None
+    while stack:
+        try:
+            stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+            continue
+        if consumed == len(blocks):
+            raise FormatError(blocks[-1][-1][0], "compose record lacks its summand trace blocks")
+        stack.append(_parse_block(blocks[consumed]))
+        consumed, sent = consumed + 1, None
     if consumed != len(blocks):
         ln = blocks[consumed][0][0]
         raise FormatError(ln, "trailing trace block not referenced by any compose record")
+    root = sent[1]
     return ReductionCertificate(certificate_conclusion(root), root)
 
 
-def _parse_block_tree(blocks, index: int) -> tuple[Cert, int]:
-    if index >= len(blocks):
-        last_ln = blocks[-1][-1][0]
-        raise FormatError(last_ln, "compose record lacks its summand trace blocks")
-    block = blocks[index]
+def _parse_block(block):
+    """Generator parsing one block: each ``yield`` receives the (header, node)
+    of the next summand block, and it returns the block's own (header, node)."""
     header_fp = _parse_header(*block[0])
-    next_index = index + 1
-
-    # Scan the block into items, consuming sub-blocks for compose records.
     items = []
-    context_fp = header_fp
     move_run: list[tuple[Move, str]] = []
-    run_initial = context_fp
+    run_initial = header_fp
     concluded = False
     for ln, content in block[1:]:
         kind = content.split()[0]
         if concluded:
             raise FormatError(ln, "records after the conclude record")
+        if kind in ("compose", "conclude") and move_run:
+            items.append(("trace", MoveTrace(run_initial, tuple(move_run))))
+            move_run = []
         if kind == "compose":
-            if move_run:
-                items.append(("trace", MoveTrace(run_initial, tuple(move_run))))
-                move_run = []
             parts = content.split()
             if len(parts) < 3 or parts[-2] != "->":
                 raise FormatError(ln, "compose record must end with '-> <fingerprint>'")
@@ -425,23 +413,18 @@ def _parse_block_tree(blocks, index: int) -> tuple[Cert, int]:
             for key in ("left", "right", "seam", "weld"):
                 if key not in fields:
                     raise FormatError(ln, f"compose record missing field {key!r}")
-            left_start = next_index
-            left_node, next_index = _parse_block_tree(blocks, left_start)
-            right_start = next_index
-            if fields["left"] != _parse_header(*blocks[left_start][0]):
+            left_fp, left = yield
+            if fields["left"] != left_fp:
                 raise FormatError(ln, "left fingerprint does not match its trace block")
-            right_node, next_index = _parse_block_tree(blocks, right_start)
-            if fields["right"] != _parse_header(*blocks[right_start][0]):
+            right_fp, right = yield
+            if fields["right"] != right_fp:
                 raise FormatError(ln, "right fingerprint does not match its trace block")
             edges = _parse_seam_edges(ln, fields["seam"])
             weld_a, weld_b = _parse_pair(ln, fields["weld"])
-            items.append(("compose", edges, left_node, right_node, weld_a, weld_b))
-            context_fp = parts[-1]
-            run_initial = context_fp
+            run_initial = parts[-1]
+            items.append(("compose", (edges, left, right, weld_a, weld_b),
+                          (left_fp, right_fp, run_initial)))
         elif kind == "conclude":
-            if move_run:
-                items.append(("trace", MoveTrace(run_initial, tuple(move_run))))
-                move_run = []
             parts = content.split()
             if len(parts) != 3 or not parts[2].startswith("map="):
                 raise FormatError(ln, "expected 'conclude <form> map=<pairs>'")
@@ -452,9 +435,7 @@ def _parse_block_tree(blocks, index: int) -> tuple[Cert, int]:
             items.append(("conclude", form, _parse_mapping(ln, parts[2][4:])))
             concluded = True
         else:
-            move, fp = parse_move_record(ln, content)
-            move_run.append((move, fp))
-            context_fp = fp
+            move_run.append(parse_move_record(ln, content))
     if not concluded:
         raise FormatError(block[-1][0], "certificate block lacks a conclude record")
 
@@ -463,9 +444,8 @@ def _parse_block_tree(blocks, index: int) -> tuple[Cert, int]:
         if item[0] == "trace":
             node = TraceCert(item[1], node)
         else:
-            _, edges, left_node, right_node, weld_a, weld_b = item
-            node = RecombineCert(edges, left_node, right_node, weld_a, weld_b, node)
-    return node, next_index
+            node = RecombineCert(*item[1], node, *item[2])
+    return header_fp, node
 
 
 def is_certificate(text: str) -> bool:

@@ -101,8 +101,12 @@ def form_T(m: int) -> CanonicalForm:
 def parse_form_token(tok: str) -> CanonicalForm:
     if tok == "L":
         return form_L()
-    if tok and tok[0] in ("P", "T") and tok[1:].isdigit():
-        return CanonicalForm(tok[0], int(tok[1:]))
+    digits = tok[1:]
+    if tok[:1] in ("P", "T") and digits.isascii() and digits.isdigit():
+        try:  # int() refuses more than 4300 digits
+            return CanonicalForm(tok[0], int(digits))
+        except ValueError:
+            pass
     raise ReductionError(f"bad form token {tok!r}")
 
 
@@ -218,6 +222,10 @@ class RecombineCert:
     ``rest`` certifies it.  Changing weld vertices is absorbed by
     interchange moves, so the record is sound without replaying sub-traces
     inside the composite graph.
+
+    ``left_fp``, ``right_fp`` and ``fp`` are the fingerprints of the two
+    summands and of the successor graph, as the compose record prints them.
+    The writer copies them out; verification does not trust them.
     """
 
     seam_edges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -226,6 +234,9 @@ class RecombineCert:
     weld_a: int
     weld_b: int
     rest: "Cert"
+    left_fp: str
+    right_fp: str
+    fp: str
 
 
 Cert = IsoCert | TraceCert | RecombineCert
@@ -606,57 +617,53 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
     return form, cert
 
 
+def _fingerprint_of(g: ColoredGraph, node: Cert) -> str:
+    """fingerprint(g) for the graph that ``node`` certifies; a trace already holds it."""
+    return node.trace.initial if isinstance(node, TraceCert) else fingerprint(g)
+
+
+def _recombine(seam: Seam, g_a: ColoredGraph, left: Cert, g_b: ColoredGraph, right: Cert,
+               weld_a: int, weld_b: int, then) -> RecombineCert:
+    """The congruence record for summands g_a, g_b (side A first) of ``seam``.
+
+    Welds the canonical graphs of both conclusions at (weld_a, weld_b) and
+    certifies that sum with ``then(joined)``.
+    """
+    joined = connected_sum(realize(certificate_conclusion(left)), weld_a,
+                           realize(certificate_conclusion(right)), weld_b,
+                           enforce_type_rule=True)
+    rest = then(joined)
+    return RecombineCert(seam.edges, left, right, weld_a, weld_b, rest,
+                         _fingerprint_of(g_a, left), _fingerprint_of(g_b, right),
+                         _fingerprint_of(joined, rest))
+
+
 def _reduce_node(g: ColoredGraph) -> Cert:
-    n = g.n
-    if n == 2:
-        return _iso_cert(g, form_L())
-    if n == 4:
-        return _iso_cert(g, form_P(1))
-    if n == 6:
-        bip = is_bipartite(g)
-        return _iso_cert(g, form_T(1) if bip is not None else form_P(2))
+    bip = is_bipartite(g) is not None
+    if g.n <= 6:
+        return _iso_cert(g, canonical_of(g.n, bip))
 
-    if is_bipartite(g) is not None:
-        sp = split_off_T1(g)
-        q = (n - 2) // 4
-        piece_cert = _iso_cert(sp.piece, form_T(1))
-        rem_cert = _reduce_node(sp.remainder)
-        left, right = ((piece_cert, rem_cert) if sp.piece_is_side_a
-                       else (rem_cert, piece_cert))
-        f_a = certificate_conclusion(left)
-        f_b = certificate_conclusion(right)
-        # weld highest (white) of the first T onto vertex 1 (black) of the second
-        joined = connected_sum(realize(f_a), realize(f_a).n, realize(f_b), 1,
-                               enforce_type_rule=True)
-        node = RecombineCert(sp.seam.edges, left, right, realize(f_a).n, 1,
-                             _iso_cert(joined, form_T(q)))
-        return TraceCert(sp.trace, node)
-
-    sp = split_off_P1(g)
-    piece_cert = _iso_cert(sp.piece, form_P(1))
+    sp = split_off_T1(g) if bip else split_off_P1(g)
+    piece_form = form_T(1) if bip else form_P(1)
+    piece = (sp.piece, _iso_cert(sp.piece, piece_form))
     rem_cert = _reduce_node(sp.remainder)
-    rem_form = certificate_conclusion(rem_cert)
-    left, right = ((piece_cert, rem_cert) if sp.piece_is_side_a
-                   else (rem_cert, piece_cert))
-    f_a = certificate_conclusion(left)
-    f_b = certificate_conclusion(right)
+    rem = certificate_conclusion(rem_cert)
+    sides = (piece + (sp.remainder, rem_cert) if sp.piece_is_side_a
+             else (sp.remainder, rem_cert) + piece)
 
-    if rem_form.kind == "P":
-        joined = connected_sum(realize(f_a), realize(f_a).n, realize(f_b), 1)
-        node = RecombineCert(sp.seam.edges, left, right, realize(f_a).n, 1,
-                             _iso_cert(joined, form_P(rem_form.m + 1)))
-        return TraceCert(sp.trace, node)
-
-    # Remainder reduced to T(k): enter the mixed chain, which applies the
-    # 8-vertex rewrite k times under congruence records.
-    k = rem_form.m
-    if f_a.kind == "P":
-        weld_a, weld_b, p_first = 1, 4 * k + 2, True
+    if rem.kind == piece_form.kind:
+        # T1 # T(q-1) or P1 # P(m): weld the first form's highest vertex
+        # (white, for T) onto the second's vertex 1 (black).
+        weld_a = certificate_conclusion(sides[1]).vertex_count
+        node = _recombine(sp.seam, *sides, weld_a, 1,
+                          lambda joined: _iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1)))
     else:
-        weld_a, weld_b, p_first = 4 * k + 2, 1, False
-    joined = connected_sum(realize(f_a), weld_a, realize(f_b), weld_b)
-    node = RecombineCert(sp.seam.edges, left, right, weld_a, weld_b,
-                         _mixed_chain_node(joined, k, 1, p_first))
+        # Remainder reduced to T(k): enter the mixed chain, which applies the
+        # 8-vertex rewrite k times under congruence records.
+        k, p_first = rem.m, sp.piece_is_side_a
+        welds = (1, 4 * k + 2) if p_first else (4 * k + 2, 1)
+        node = _recombine(sp.seam, *sides, *welds,
+                          lambda joined: _mixed_chain_node(joined, k, 1, p_first))
     return TraceCert(sp.trace, node)
 
 
@@ -695,17 +702,15 @@ def _mixed_chain_node(w: ColoredGraph, j: int, m: int, p_first: bool) -> Cert:
         # Certify the P(m) # T1 side: recombine its own split into canonical
         # graphs, then run the j=1 chain on the canonical welding.
         s_a, _, s_b, _ = extract_summands(w, seam)
-        big = s_a if seam.side_a == side_big else s_b
+        big_is_a = seam.side_a == side_big
+        big, prev = (s_a, s_b) if big_is_a else (s_b, s_a)
         big_cert = _mixed_side_cert(big, side_big, p_part, m)
-        prev_cert = _iso_cert(s_b if seam.side_a == side_big else s_a, form_T(j - 1))
-        if seam.side_a == side_big:
-            left, right, w_a, w_b, pf = big_cert, prev_cert, 1, 4 * (j - 1) + 2, True
-        else:
-            left, right, w_a, w_b, pf = prev_cert, big_cert, 4 * (j - 1) + 2, 1, False
-        nxt = connected_sum(realize(certificate_conclusion(left)), w_a,
-                            realize(certificate_conclusion(right)), w_b)
-        return RecombineCert(seam.edges, left, right, w_a, w_b,
-                             _mixed_chain_node(nxt, j - 1, m + 2, pf))
+        prev_cert = _iso_cert(prev, form_T(j - 1))
+        w_t = 4 * (j - 1) + 2
+        args = ((s_a, big_cert, s_b, prev_cert, 1, w_t) if big_is_a
+                 else (s_a, prev_cert, s_b, big_cert, w_t, 1))
+        return _recombine(seam, *args,
+                          lambda nxt: _mixed_chain_node(nxt, j - 1, m + 2, big_is_a))
 
     if m == 1:
         trace = rewrite_TP1_to_P3(w, tp1_seam(w))
@@ -719,21 +724,14 @@ def _mixed_chain_node(w: ColoredGraph, j: int, m: int, p_first: bool) -> Cert:
     tail = frozenset(p_part - small)
     seam = seam_from_side(w, tail)
     s_a, _, s_b, _ = extract_summands(w, seam)
-    if seam.side_a == tail:
-        tail_sum, rew_sum, tail_is_a = s_a, s_b, True
-    else:
-        tail_sum, rew_sum, tail_is_a = s_b, s_a, False
+    tail_is_a = seam.side_a == tail
+    tail_sum, rew_sum = (s_a, s_b) if tail_is_a else (s_b, s_a)
     trace = rewrite_TP1_to_P3(rew_sum, tp1_seam(rew_sum))
     rew_cert = TraceCert(trace, _iso_cert(verify_trace(rew_sum, trace), form_P(3)))
     tail_cert = _iso_cert(tail_sum, form_P(m - 1))
-    if tail_is_a:
-        left, right, w_a, w_b = tail_cert, rew_cert, 2 * (m - 1) + 2, 1
-    else:
-        left, right, w_a, w_b = rew_cert, tail_cert, 8, 1
-    nxt = connected_sum(realize(certificate_conclusion(left)), w_a,
-                        realize(certificate_conclusion(right)), w_b)
-    return RecombineCert(seam.edges, left, right, w_a, w_b,
-                         _iso_cert(nxt, form_P(m + 2)))
+    args = ((s_a, tail_cert, s_b, rew_cert, 2 * (m - 1) + 2, 1) if tail_is_a
+             else (s_a, rew_cert, s_b, tail_cert, 8, 1))
+    return _recombine(seam, *args, lambda nxt: _iso_cert(nxt, form_P(m + 2)))
 
 
 def _mixed_side_cert(side_graph: ColoredGraph, side_ids: frozenset[int],
@@ -747,14 +745,10 @@ def _mixed_side_cert(side_graph: ColoredGraph, side_ids: frozenset[int],
     inner_p = frozenset(order[v] for v in p_part)
     seam = seam_from_side(side_graph, inner_p)
     s_a, _, s_b, _ = extract_summands(side_graph, seam)
-    p_sum, t_sum = (s_a, s_b) if seam.side_a == inner_p else (s_b, s_a)
+    p_first = seam.side_a == inner_p
+    p_sum, t_sum = (s_a, s_b) if p_first else (s_b, s_a)
     p_cert = _iso_cert(p_sum, form_P(m))
     t_cert = _iso_cert(t_sum, form_T(1))
-    if seam.side_a == inner_p:
-        left, right, w_a, w_b, pf = p_cert, t_cert, 1, 6, True
-    else:
-        left, right, w_a, w_b, pf = t_cert, p_cert, 6, 1, False
-    nxt = connected_sum(realize(certificate_conclusion(left)), w_a,
-                        realize(certificate_conclusion(right)), w_b)
-    return RecombineCert(seam.edges, left, right, w_a, w_b,
-                         _mixed_chain_node(nxt, 1, m, pf))
+    args = ((s_a, p_cert, s_b, t_cert, 1, 6) if p_first
+             else (s_a, t_cert, s_b, p_cert, 6, 1))
+    return _recombine(seam, *args, lambda nxt: _mixed_chain_node(nxt, 1, m, p_first))

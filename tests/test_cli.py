@@ -171,6 +171,14 @@ def test_verify_malformed_trace_field_is_format_error(tmp_path, capsys, record):
     assert "line 2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["P\u00b2", "T" + "5" * 5000],
+                         ids=["superscript-digit", "5000-digits"])
+def test_verify_bad_form_index_is_format_error(tmp_path, capsys, token):
+    cf = write(tmp_path, "bad.cert", f"trace 1 fp\nconclude {token} map=1-1\n")
+    assert main(["verify", t1_file(tmp_path), cf]) == 3
+    assert "line 2:" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.gem")]) == 2
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.catalog import enumerate_contracted
+from gemsurf.cli import main
 from gemsurf.fileio import FormatError
 from gemsurf.moves import GlueSpec, enumerate_cut_specs, enumerate_glue_specs
 
@@ -169,6 +170,48 @@ def test_certificate_tamper_caught_at_verify():
     back = fileio.parse_certificate("\n".join(lines) + "\n")
     with pytest.raises(gs.CertificateError):
         gs.verify_certificate(g, back)
+
+
+@pytest.mark.parametrize("g", [
+    gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9),
+    gs.connected_sum(gs.make_T(3), 7, gs.make_P(4), 2),
+    gs.connected_sum(gs.make_T(2), 10, gs.make_T(3), 1),
+    gs.make_P(9),
+], ids=["P1+T2", "T3+P4", "T2+T3", "P9"])
+def test_write_certificate_fingerprints_only_the_root(monkeypatch, g):
+    _, cert = gs.reduce(g)
+    real = fileio.fingerprint
+    calls = []
+    monkeypatch.setattr(fileio, "fingerprint", lambda h: calls.append(h) or real(h))
+    text = fileio.write_certificate(g, cert)
+    assert calls == [g]
+    assert text.startswith(f"trace 1 {real(g)}\n")
+
+
+def _nested_certificate(g, depth):
+    """A certificate whose left summands nest ``depth`` blocks deep, in writer format."""
+    leaf = "conclude L map=1-1,2-2"
+    blocks = [f"trace 1 {gs.fingerprint(g) if i == 0 else f'left{i}'}\n"
+              f"compose left=left{i + 1} right=right{i} seam=0:1-2,1:1-2,2:1-2 "
+              f"weld=1-1 -> sum{i}\n{leaf}" for i in range(depth)]
+    blocks.append(f"trace 1 left{depth}\n{leaf}")
+    blocks += [f"trace 1 right{i}\n{leaf}" for i in reversed(range(depth))]
+    return "\n".join(blocks) + "\n"
+
+
+def test_deeply_nested_certificate_round_trips():
+    g = gs.make_L()
+    text = _nested_certificate(g, 1500)
+    assert fileio.write_certificate(g, fileio.parse_certificate(text)) == text
+
+
+def test_deeply_nested_certificate_fails_verify_cleanly(tmp_path, capsys):
+    gf, cf = tmp_path / "l.gem", tmp_path / "deep.cert"
+    gf.write_text(fileio.write_graph(gs.make_L()))
+    cf.write_text(_nested_certificate(gs.make_L(), 1500))
+    assert main(["verify", str(gf), str(cf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed:") and "Traceback" not in err
 
 
 # ============================================================

@@ -1,6 +1,6 @@
 """Golden corpus: fixed inputs whose outputs must stay byte for byte the same.
 
-For every catalog class with n <= 10 and a few seeded, relabelled connected
+For every catalog class with n <= 12 and a few seeded, relabelled connected
 sums, ``golden/corpus.json`` holds the graph file text and, as produced
 when the corpus was made, the sha256 of its fingerprint, the sha256 of its
 certificate file, the ``gemsurf info`` output and the reduced form.
@@ -29,6 +29,11 @@ from gemsurf.reduction import parse_form_token
 CORPUS = Path(__file__).with_name("golden") / "corpus.json"
 SUMS = (("T5", "P3"), ("P7", "P8"), ("T4", "T7"), ("T11", "P2"), ("P15", "T8"),
         ("T12", "T12"))
+# Every T(k) # P(m) with k in 2..4, m in 1..3 and n <= 20, in both orders.
+# Among them P1 # T2 reaches the mixed chain with the K4 side first.
+MIXED_SUMS = tuple((f"T{k}", f"P{m}") for k in (2, 3, 4) for m in (1, 2, 3)
+                   if 4 * k + 2 * m + 2 <= 20)
+MIXED_SUMS += tuple((b, a) for a, b in MIXED_SUMS)
 
 
 def _sha(text: str) -> str:
@@ -56,11 +61,11 @@ def outputs(text: str):
 def inputs() -> dict[str, str]:
     """The corpus inputs as graph file text, made from fixed seeds."""
     found = {}
-    for n in range(2, 11, 2):
+    for n in range(2, 13, 2):
         for i, entry in enumerate(gs.enumerate_contracted(n).classes):
             found[f"catalog-n{n}-{i:02d}"] = fileio.write_graph(entry.graph)
     rng = random.Random(2016)
-    for a, b in SUMS:
+    for a, b in SUMS + MIXED_SUMS:
         g1, g2 = (gs.realize(parse_form_token(tok)) for tok in (a, b))
         g = gs.connected_sum(g1, rng.randint(1, g1.n), g2, rng.randint(1, g2.n))
         images = list(range(1, g.n + 1))

@@ -22,8 +22,9 @@ All writers emit fixed orderings, so write-read-write is byte identical.
 
 Certificate nodes carry the fingerprints their compose records print, so
 ``write_certificate`` only serializes: it fingerprints the input graph
-once, for the root header, and replays nothing.  The writer and the parser
-walk the block tree with explicit stacks, so deep nesting costs no Python
+once, for the root header, and replays nothing.  The writer walks the block
+tree with an explicit stack, and the parser runs on ``reduction._drive``, the
+driver ``verify_certificate`` uses, so deep nesting costs no Python
 recursion.
 """
 
@@ -48,6 +49,7 @@ from .reduction import (
     RecombineCert,
     ReductionCertificate,
     TraceCert,
+    _drive,
     certificate_conclusion,
     parse_form_token,
 )
@@ -365,34 +367,31 @@ def _split_blocks(text: str):
 def parse_certificate(text: str) -> ReductionCertificate:
     """Parse a certificate file; its blocks come in pre-order.
 
-    Each block is parsed by a generator that yields when a compose record
-    needs its summand blocks, so a list of suspended generators stands in
-    for recursion and nesting depth costs no Python stack.
+    Each block is parsed by a generator that yields the parser of the next
+    block when a compose record needs its summand blocks; ``_drive`` runs
+    them, as it runs ``verify_certificate``, so nesting depth costs no
+    Python stack.
     """
     blocks = _split_blocks(text)
-    stack = [_parse_block(blocks[0])]
-    consumed, sent = 1, None
-    while stack:
-        try:
-            stack[-1].send(sent)
-        except StopIteration as done:
-            stack.pop()
-            sent = done.value
-            continue
-        if consumed == len(blocks):
-            raise FormatError(blocks[-1][-1][0], "compose record lacks its summand trace blocks")
-        stack.append(_parse_block(blocks[consumed]))
-        consumed, sent = consumed + 1, None
-    if consumed != len(blocks):
-        ln = blocks[consumed][0][0]
-        raise FormatError(ln, "trailing trace block not referenced by any compose record")
-    root = sent[1]
+    rest = iter(blocks)
+    _, root = _drive(_parse_block(rest, blocks[-1][-1][0]))
+    leftover = next(rest, None)
+    if leftover is not None:
+        raise FormatError(leftover[0][0],
+                          "trailing trace block not referenced by any compose record")
     return ReductionCertificate(certificate_conclusion(root), root)
 
 
-def _parse_block(block):
-    """Generator parsing one block: each ``yield`` receives the (header, node)
-    of the next summand block, and it returns the block's own (header, node)."""
+def _parse_block(blocks, last_ln: int):
+    """Generator parsing the next block of the iterator ``blocks``.
+
+    It yields a parser of the following block once per summand, receives
+    that block's (header, node), and returns its own (header, node).
+    ``last_ln`` is the file's last line, where a missing block is reported.
+    """
+    block = next(blocks, None)
+    if block is None:
+        raise FormatError(last_ln, "compose record lacks its summand trace blocks")
     header_fp = _parse_header(*block[0])
     items = []
     move_run: list[tuple[Move, str]] = []
@@ -413,10 +412,10 @@ def _parse_block(block):
             for key in ("left", "right", "seam", "weld"):
                 if key not in fields:
                     raise FormatError(ln, f"compose record missing field {key!r}")
-            left_fp, left = yield
+            left_fp, left = yield _parse_block(blocks, last_ln)
             if fields["left"] != left_fp:
                 raise FormatError(ln, "left fingerprint does not match its trace block")
-            right_fp, right = yield
+            right_fp, right = yield _parse_block(blocks, last_ln)
             if fields["right"] != right_fp:
                 raise FormatError(ln, "right fingerprint does not match its trace block")
             edges = _parse_seam_edges(ln, fields["seam"])

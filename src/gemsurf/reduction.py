@@ -266,6 +266,25 @@ def _check_iso_mapping(g: ColoredGraph, h: ColoredGraph, mapping: dict[int, int]
     return True
 
 
+def _drive(walk):
+    """Run a tree walk made of generators without Python recursion.
+
+    A generator yields a child generator to have it run to completion and
+    receives the child's return value; ``_drive`` returns the root's.
+    """
+    stack, sent = [walk], None
+    while stack:
+        try:
+            child = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            stack.append(child)
+            sent = None
+    return sent
+
+
 def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> CanonicalForm:
     """Re-check a certificate end to end; returns the verified conclusion.
 
@@ -275,39 +294,40 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
-    form = _verify_node(g, cert.root)
+    form = _drive(_verify_node(g, cert.root))
     if form != cert.conclusion:
         raise CertificateError(f"certificate concludes {form}, claimed {cert.conclusion}")
     return form
 
 
-def _verify_node(g: ColoredGraph, node: Cert) -> CanonicalForm:
-    if isinstance(node, IsoCert):
-        # Compare sizes before realize: a claimed form's size is untrusted.
-        if (node.form.vertex_count != g.n
-                or not _check_iso_mapping(g, realize(node.form), dict(node.mapping))):
-            raise CertificateError(f"isomorphism witness onto {node.form} is invalid")
-        return node.form
-    if isinstance(node, TraceCert):
-        try:
-            final = verify_trace(g, node.trace)
-        except GemError as exc:
-            raise CertificateError(f"leaf trace failed: {exc}") from exc
-        return _verify_node(final, node.rest)
-    if isinstance(node, RecombineCert):
-        seam = _seam_from_triple(g, node.seam_edges)
-        if seam is None:
-            raise CertificateError(f"recorded edge triple {node.seam_edges} is not a seam")
-        g1, _, g2, _ = extract_summands(g, seam)
-        f_a = _verify_node(g1, node.left)
-        f_b = _verify_node(g2, node.right)
-        try:
-            joined = connected_sum(realize(f_a), node.weld_a, realize(f_b), node.weld_b,
-                                   enforce_type_rule=True)
-        except GemError as exc:
-            raise CertificateError(f"illegal recombination weld: {exc}") from exc
-        return _verify_node(joined, node.rest)
-    raise CertificateError(f"unknown certificate node {node!r}")
+def _verify_node(g: ColoredGraph, node: Cert):
+    """Walk (run by ``_drive``) verifying ``node`` on g; returns its form."""
+    while not isinstance(node, IsoCert):
+        if isinstance(node, TraceCert):
+            try:
+                g = verify_trace(g, node.trace)
+            except GemError as exc:
+                raise CertificateError(f"leaf trace failed: {exc}") from exc
+        elif isinstance(node, RecombineCert):
+            seam = _seam_from_triple(g, node.seam_edges)
+            if seam is None:
+                raise CertificateError(f"recorded edge triple {node.seam_edges} is not a seam")
+            g1, _, g2, _ = extract_summands(g, seam)
+            f_a = yield _verify_node(g1, node.left)
+            f_b = yield _verify_node(g2, node.right)
+            try:
+                g = connected_sum(realize(f_a), node.weld_a, realize(f_b), node.weld_b,
+                                  enforce_type_rule=True)
+            except GemError as exc:
+                raise CertificateError(f"illegal recombination weld: {exc}") from exc
+        else:
+            raise CertificateError(f"unknown certificate node {node!r}")
+        node = node.rest
+    # Compare sizes before realize: a claimed form's size is untrusted.
+    if (node.form.vertex_count != g.n
+            or not _check_iso_mapping(g, realize(node.form), dict(node.mapping))):
+        raise CertificateError(f"isomorphism witness onto {node.form} is invalid")
+    return node.form
 
 
 def _iso_cert(g: ColoredGraph, form: CanonicalForm) -> IsoCert:
@@ -343,7 +363,7 @@ def _standard_labelings(g: ColoredGraph):
 
 
 # ============================================================
-# Splitting off a torus block (bipartite case)
+# Splitting off a torus block (bipartite) or a K4 block (non-bipartite)
 # ============================================================
 
 
@@ -359,168 +379,125 @@ class SplitOff:
     remainder: ColoredGraph
 
 
-def _choose_t1_anchor(g: ColoredGraph):
-    """Deterministic labeling choice for the bipartite split.
+def _choose_anchor(g: ColoredGraph, bipartite: bool):
+    """Check a split's preconditions, then choose its labeling deterministically.
 
-    Scans all standard labelings; in each, v1's color-2 partner sits at an
-    even position 2r, and the qualifying color-2 edge from an odd position
-    in [3, 2r-1] to an even position in [2r+2, n] is taken with smallest s
-    then t.  The labeling minimizing (r, s, t) wins, first found on ties.
+    Scans all standard labelings; in each, v1's color-2 partner sits at
+    position j, which must be even for the torus split and odd for the K4
+    split (labelings with the other parity are skipped).  The crossing
+    color-2 edge (v_s, v_t) with t > j is taken with smallest s then t,
+    where s runs over the odd positions in [3, j-1] for the torus split and
+    over [2, j-1] for the K4 split.  The labeling minimizing (j, s, t) wins,
+    first found on ties.  Returns (labeling, j, s, t).
     """
+    if not is_contracted(g):
+        raise ReductionError("split requires a contracted graph")
+    if (is_bipartite(g) is not None) != bipartite:
+        raise ReductionError(f"this split requires a {'' if bipartite else 'non-'}"
+                             "bipartite graph")
     n = g.n
+    if bipartite and (n < 10 or n % 4 != 2):
+        raise ReductionError(f"bipartite split requires n = 4q+2 with q >= 2, got {n}")
+    if not bipartite and n < 6:
+        raise ReductionError(f"non-bipartite split requires n >= 6, got {n}")
     best = None
     for lab in _standard_labelings(g):
         pos = {lab[k]: k for k in range(1, n + 1)}
         j = pos[g.matchings[2][lab[1]]]
-        if j % 2 != 0:
-            raise ReductionError("internal: color-2 partner of v1 has odd position "
-                                 "in a bipartite graph")
-        r = j // 2
-        if r < 2 or 2 * r >= n:
-            raise ReductionError("internal: anchor edge parallel to a cycle edge "
-                                 "in a simple graph")
-        hit = None
-        for s2 in range(3, 2 * r, 2):
-            t2 = pos[g.matchings[2][lab[s2]]]
-            if t2 % 2 == 0 and 2 * r + 1 <= t2 <= n:
-                hit = (s2, t2)
-                break
+        if (j % 2 == 0) != bipartite:
+            continue
+        s_range = range(3, j, 2) if bipartite else range(2, j)
+        hit = next(((s, t) for s in s_range
+                    if (t := pos[g.matchings[2][lab[s]]]) > j), None)
         if hit is None:
             raise ReductionError(
-                "internal: no crossing color-2 edge; contradicts Hamiltonicity "
-                "of the {0,2}-cycle")
-        key = (r, hit[0], hit[1])
-        if best is None or key < best[0]:
-            best = (key, lab)
-    (r, s2, t2), lab = best
-    return lab, r, s2, t2
+                "internal: no crossing color-2 edge; contradicts Hamiltonicity")
+        if best is None or (j, *hit) < best[0]:
+            best = ((j, *hit), lab)
+    if best is None:
+        raise ReductionError("internal: no color-2 edge from v1 of the required parity")
+    (j, s, t), lab = best
+    return lab, j, s, t
+
+
+def _summands_at(g: ColoredGraph, side: frozenset[int]):
+    """The seam around ``side`` and its two summands, ``side``'s first.
+
+    Returns (seam, side's summand, the other summand, whether ``side`` is
+    side A).  A summand numbers its side's vertices in their order in g,
+    then the apex.
+    """
+    seam = seam_from_side(g, side)
+    s_a, _, s_b, _ = extract_summands(g, seam)
+    if seam.side_a == side:
+        return seam, s_a, s_b, True
+    return seam, s_b, s_a, False
+
+
+def _detach(g: ColoredGraph, steps, block: frozenset[int], form: CanonicalForm) -> SplitOff:
+    """The SplitOff for the (move, graph) ``steps`` from g; ``block`` is the
+    side of the last graph whose summand must be the canonical graph of ``form``."""
+    trace = MoveTrace(fingerprint(g), tuple((move, fingerprint(h)) for move, h in steps))
+    final = steps[-1][1]
+    seam, piece, remainder, piece_is_side_a = _summands_at(final, block)
+    if are_isomorphic(piece, realize(form)) is None:
+        raise ReductionError(f"internal: detached block is not {form}")
+    return SplitOff(trace, final, seam, piece, piece_is_side_a, remainder)
 
 
 def split_off_T1(g: ColoredGraph) -> SplitOff:
     """Two cut-and-glue moves detaching a 6-vertex torus block.
 
     With the cycle labeled v1..vn (color 0 on v_{2i-1}v_{2i}) and the
-    anchor edges chosen as in ``_choose_t1_anchor``:
+    anchor edges chosen as in ``_choose_anchor`` (j even):
 
-    * move 1 cuts the color-0 edge v_{2r-1}v_{2r} and the color-1 edge
-      v2v3 (z1 on the arc through v3) and glues at (v_{2s-1}, v_{2t});
+    * move 1 cuts the color-0 edge v_{j-1}v_j and the color-1 edge v2v3
+      (z1 on the arc through v3) and glues at (v_s, v_t);
     * move 2 cuts the color-0 edge v1v2 and the current color-1 edge at
-      z1 (z1' on the arc through v2) and glues at (v_{2r}, v1).
+      z1 (z1' on the arc through v2) and glues at (v_j, v1).
 
     In the generic position of the figures z1's color-1 edge is z1v3; when
     the first glue consumed v3 the edge runs to the rewelded successor,
     and cutting it is the faithful generalization.  The result carries the
     seam around {z1, z1', v2, z2, z2'}, whose summand is the torus block.
     """
-    if not is_contracted(g):
-        raise ReductionError("split requires a contracted graph")
-    if is_bipartite(g) is None:
-        raise ReductionError("this split requires a bipartite graph")
+    v, j, s, t = _choose_anchor(g, bipartite=True)  # v[k]: the vertex at position k
     n = g.n
-    if n < 10 or n % 4 != 2:
-        raise ReductionError(f"bipartite split requires n = 4q+2 with q >= 2, got {n}")
-
-    lab, r, s2, t2 = _choose_t1_anchor(g)
-    v = lab  # v[k] is the vertex at position k
-
     move1 = CutGlue(
-        cut_spec(2, (v[2 * r - 1], v[2 * r]), (v[2], v[3]), arc_vertex=v[3]),
-        GlueSpec(2, (v[s2], v[t2])))
+        cut_spec(2, (v[j - 1], v[j]), (v[2], v[3]), arc_vertex=v[3]),
+        GlueSpec(2, (v[s], v[t])))
     g1 = apply_move(g, move1)
-    r1 = renumbering(n + 2, (v[s2], v[t2]))
+    r1 = renumbering(n + 2, (v[s], v[t]))
     z1, z2 = r1[n + 1], r1[n + 2]
-    v1, v2, v2r = r1[v[1]], r1[v[2]], r1[v[2 * r]]
+    v1, v2, vj = r1[v[1]], r1[v[2]], r1[v[j]]
 
     move2 = CutGlue(
         cut_spec(2, tuple(sorted((v1, v2))),
                  tuple(sorted((z1, g1.matchings[1][z1]))), arc_vertex=v2),
-        GlueSpec(2, (v2r, v1)))
+        GlueSpec(2, (vj, v1)))
     g2 = apply_move(g1, move2)
-    r2 = renumbering(n + 2, (v2r, v1))
+    r2 = renumbering(n + 2, (vj, v1))
     block = frozenset({r2[z1], r2[z2], r2[v2], r2[n + 1], r2[n + 2]})
-
-    trace = MoveTrace(fingerprint(g), ((move1, fingerprint(g1)), (move2, fingerprint(g2))))
-    seam = seam_from_side(g2, block)
-    s_a, _, s_b, _ = extract_summands(g2, seam)
-    piece_is_side_a = seam.side_a == block
-    piece, remainder = (s_a, s_b) if piece_is_side_a else (s_b, s_a)
-    if are_isomorphic(piece, make_T1()) is None:
-        raise ReductionError("internal: detached block is not the torus graph")
-    return SplitOff(trace, g2, seam, piece, piece_is_side_a, remainder)
-
-
-# ============================================================
-# Splitting off a projective-plane block (non-bipartite case)
-# ============================================================
-
-
-def _choose_p1_anchor(g: ColoredGraph):
-    """Deterministic labeling for the non-bipartite split.
-
-    Only labelings putting a same-type color-2 edge at (v1, v_{2r-1}) are
-    eligible; the crossing edge (v_s, v_t) with s in [2, 2r-2] and t in
-    [2r, n] is taken with smallest s then t, and (r, s, t) minimized.
-    """
-    n = g.n
-    best = None
-    for lab in _standard_labelings(g):
-        pos = {lab[k]: k for k in range(1, n + 1)}
-        j = pos[g.matchings[2][lab[1]]]
-        if j % 2 == 0:
-            continue
-        r = (j + 1) // 2
-        hit = None
-        for sp in range(2, 2 * r - 1):
-            tp = pos[g.matchings[2][lab[sp]]]
-            if 2 * r <= tp <= n:
-                hit = (sp, tp)
-                break
-        if hit is None:
-            raise ReductionError(
-                "internal: no crossing color-2 edge; contradicts Hamiltonicity")
-        key = (r, hit[0], hit[1])
-        if best is None or key < best[0]:
-            best = (key, lab)
-    if best is None:
-        raise ReductionError("internal: no same-type color-2 edge in a "
-                             "non-bipartite graph")
-    (r, sp, tp), lab = best
-    return lab, r, sp, tp
+    return _detach(g, ((move1, g1), (move2, g2)), block, form_T(1))
 
 
 def split_off_P1(g: ColoredGraph) -> SplitOff:
     """One cut-and-glue move detaching a 4-vertex K4 block.
 
-    Cuts the color-0 edge v1v2 and the color-1 edge v_{2r-2}v_{2r-1}
-    (z1 on the arc through v2), glues at (v_s, v_t); the block summand
-    sits on {v1, z2, v_{2r-1}} plus the apex.
+    With the anchor chosen as in ``_choose_anchor`` (j odd): cuts the
+    color-0 edge v1v2 and the color-1 edge v_{j-1}v_j (z1 on the arc
+    through v2), glues at (v_s, v_t); the block summand sits on
+    {v1, z2, v_j} plus the apex.
     """
-    if not is_contracted(g):
-        raise ReductionError("split requires a contracted graph")
-    if is_bipartite(g) is not None:
-        raise ReductionError("this split requires a non-bipartite graph")
+    v, j, s, t = _choose_anchor(g, bipartite=False)
     n = g.n
-    if n < 6:
-        raise ReductionError(f"non-bipartite split requires n >= 6, got {n}")
-
-    lab, r, sp, tp = _choose_p1_anchor(g)
-    v = lab
-
     move = CutGlue(
-        cut_spec(2, (v[1], v[2]), (v[2 * r - 2], v[2 * r - 1]), arc_vertex=v[2]),
-        GlueSpec(2, (v[sp], v[tp])))
+        cut_spec(2, (v[1], v[2]), (v[j - 1], v[j]), arc_vertex=v[2]),
+        GlueSpec(2, (v[s], v[t])))
     g1 = apply_move(g, move)
-    r1 = renumbering(n + 2, (v[sp], v[tp]))
-    block = frozenset({r1[v[1]], r1[n + 2], r1[v[2 * r - 1]]})
-
-    trace = MoveTrace(fingerprint(g), ((move, fingerprint(g1)),))
-    seam = seam_from_side(g1, block)
-    s_a, _, s_b, _ = extract_summands(g1, seam)
-    piece_is_side_a = seam.side_a == block
-    piece, remainder = (s_a, s_b) if piece_is_side_a else (s_b, s_a)
-    if are_isomorphic(piece, make_P1()) is None:
-        raise ReductionError("internal: detached block is not K4")
-    return SplitOff(trace, g1, seam, piece, piece_is_side_a, remainder)
+    r1 = renumbering(n + 2, (v[s], v[t]))
+    block = frozenset({r1[v[1]], r1[n + 2], r1[v[j]]})
+    return _detach(g, ((move, g1),), block, form_P(1))
 
 
 # ============================================================
@@ -570,28 +547,21 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     if g.n != 8:
         raise ReductionError(f"rewrite applies to 8-vertex graphs, got n={g.n}")
     s_a, apex_a, s_b, apex_b = extract_summands(g, seam)
-    if s_a.n == 6 and s_b.n == 4:
-        t_summand, t_apex, t_side = s_a, apex_a, seam.side_a
-        p_summand, p_apex, p_side = s_b, apex_b, seam.side_b
-    elif s_a.n == 4 and s_b.n == 6:
-        t_summand, t_apex, t_side = s_b, apex_b, seam.side_b
-        p_summand, p_apex, p_side = s_a, apex_a, seam.side_a
-    else:
+    by_size = {s_a.n: (s_a, apex_a, seam.side_a), s_b.n: (s_b, apex_b, seam.side_b)}
+    if sorted(by_size) != [4, 6]:
         raise ReductionError("seam does not split 8 vertices as 6 # 4")
-
-    psi_t = _iso_with_image(make_T1(), t_summand, 6, t_apex)
-    psi_p = _iso_with_image(make_P1(), p_summand, 1, p_apex)
+    (t_sum, t_apex, t_side), (p_sum, p_apex, p_side) = by_size[6], by_size[4]
+    psi_t = _iso_with_image(make_T1(), t_sum, 6, t_apex)
+    psi_p = _iso_with_image(make_P1(), p_sum, 1, p_apex)
     if psi_t is None or psi_p is None:
         raise ReductionError("seam summands are not the torus graph and K4")
 
-    to_g_t = {i + 1: w for i, w in enumerate(sorted(t_side))}
-    to_g_p = {i + 1: w for i, w in enumerate(sorted(p_side))}
-    mu_t = {x: to_g_t[psi_t[x]] for x in (1, 2, 3, 4, 5)}
-    mu_p = {x: to_g_p[psi_p[x]] for x in (2, 3, 4)}
-
+    # A summand numbers its side's vertices in their order in g.
+    t_ids, p_ids = sorted(t_side), sorted(p_side)
+    mu_t = {x: t_ids[psi_t[x] - 1] for x in (1, 2, 3, 4, 5)}
     move = CutGlue(
         cut_spec(1, (mu_t[3], mu_t[4]), (mu_t[2], mu_t[5]), arc_vertex=mu_t[5]),
-        GlueSpec(1, (mu_p[4], mu_t[1])))
+        GlueSpec(1, (p_ids[psi_p[4] - 1], mu_t[1])))
     trace, final = record_trace(g, [move])
     if are_isomorphic(final, make_P(3)) is None:
         raise ReductionError("internal: rewrite did not land on P(3)")
@@ -622,133 +592,107 @@ def _fingerprint_of(g: ColoredGraph, node: Cert) -> str:
     return node.trace.initial if isinstance(node, TraceCert) else fingerprint(g)
 
 
-def _recombine(seam: Seam, g_a: ColoredGraph, left: Cert, g_b: ColoredGraph, right: Cert,
-               weld_a: int, weld_b: int, then) -> RecombineCert:
-    """The congruence record for summands g_a, g_b (side A first) of ``seam``.
+def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_cert: Cert,
+                x_is_a: bool):
+    """Open the compose record for the summands x and y of ``seam``.
 
-    Welds the canonical graphs of both conclusions at (weld_a, weld_b) and
-    certifies that sum with ``then(joined)``.
+    Returns the canonical welding of both conclusions and a function that
+    closes the record once ``rest`` certifies that welding.  A P form
+    meets a T form at its vertex 1 and the T form at its highest vertex;
+    otherwise the first form's highest vertex (white, for T) meets the
+    second's vertex 1 (black).
     """
-    joined = connected_sum(realize(certificate_conclusion(left)), weld_a,
-                           realize(certificate_conclusion(right)), weld_b,
+    g_a, left, g_b, right = (x, x_cert, y, y_cert) if x_is_a else (y, y_cert, x, x_cert)
+    f_a, f_b = certificate_conclusion(left), certificate_conclusion(right)
+    if (f_a.kind, f_b.kind) == ("P", "T"):
+        welds = (1, f_b.vertex_count)
+    else:
+        welds = (f_a.vertex_count, 1)
+    joined = connected_sum(realize(f_a), welds[0], realize(f_b), welds[1],
                            enforce_type_rule=True)
-    rest = then(joined)
-    return RecombineCert(seam.edges, left, right, weld_a, weld_b, rest,
-                         _fingerprint_of(g_a, left), _fingerprint_of(g_b, right),
-                         _fingerprint_of(joined, rest))
+
+    def close(rest: Cert) -> RecombineCert:
+        return RecombineCert(seam.edges, left, right, *welds, rest,
+                             _fingerprint_of(g_a, left), _fingerprint_of(g_b, right),
+                             _fingerprint_of(joined, rest))
+    return joined, close
 
 
 def _reduce_node(g: ColoredGraph) -> Cert:
-    bip = is_bipartite(g) is not None
-    if g.n <= 6:
-        return _iso_cert(g, canonical_of(g.n, bip))
-
-    sp = split_off_T1(g) if bip else split_off_P1(g)
-    piece_form = form_T(1) if bip else form_P(1)
-    piece = (sp.piece, _iso_cert(sp.piece, piece_form))
-    rem_cert = _reduce_node(sp.remainder)
-    rem = certificate_conclusion(rem_cert)
-    sides = (piece + (sp.remainder, rem_cert) if sp.piece_is_side_a
-             else (sp.remainder, rem_cert) + piece)
-
-    if rem.kind == piece_form.kind:
-        # T1 # T(q-1) or P1 # P(m): weld the first form's highest vertex
-        # (white, for T) onto the second's vertex 1 (black).
-        weld_a = certificate_conclusion(sides[1]).vertex_count
-        node = _recombine(sp.seam, *sides, weld_a, 1,
-                          lambda joined: _iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1)))
-    else:
-        # Remainder reduced to T(k): enter the mixed chain, which applies the
-        # 8-vertex rewrite k times under congruence records.
-        k, p_first = rem.m, sp.piece_is_side_a
-        welds = (1, 4 * k + 2) if p_first else (4 * k + 2, 1)
-        node = _recombine(sp.seam, *sides, *welds,
-                          lambda joined: _mixed_chain_node(joined, k, 1, p_first))
-    return TraceCert(sp.trace, node)
+    """Split off torus or K4 blocks down to n <= 6, then fold the splits back up."""
+    splits = []
+    while g.n > 6:
+        bip = is_bipartite(g) is not None
+        splits.append((split_off_T1(g) if bip else split_off_P1(g), bip))
+        g = splits[-1][0].remainder
+    node = _iso_cert(g, canonical_of(g.n, is_bipartite(g) is not None))
+    for sp, bip in reversed(splits):
+        piece = form_T(1) if bip else form_P(1)
+        rem = certificate_conclusion(node)
+        joined, close = _congruence(sp.seam, sp.piece, _iso_cert(sp.piece, piece),
+                                    sp.remainder, node, sp.piece_is_side_a)
+        if rem.kind == piece.kind:
+            rest = _iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1))
+        else:
+            rest = _mixed_chain(joined, rem.m, sp.piece_is_side_a)
+        node = TraceCert(sp.trace, close(rest))
+    return node
 
 
-def _mixed_part_ids(j: int, m: int, p_first: bool):
-    """Vertex-id layout of connected_sum(P(m), 1, T(j), 4j+2) (or swapped order).
-
-    Returns (p_part, tj_part, tprev_part) as id sets: the P(m) remnant,
-    the last torus block remnant, and the T(j-1) remnant (empty for j=1).
-    """
-    np_, nt = 2 * m + 2, 4 * j + 2
+def _welding_ids(m: int, j: int, p_first: bool) -> tuple[range, range]:
+    """The ids of P(m)'s vertices 2..2m+2 and of T(j)'s vertices 1..4j+1 in
+    their canonical welding (P(m) at vertex 1, T(j) at 4j+2), P(m) first or not."""
+    p, t = 2 * m + 1, 4 * j + 1
     if p_first:
-        p_part = set(range(1, np_))
-        shift = np_ - 1
-        t_id = lambda w: w + shift
+        return range(1, p + 1), range(p + 1, p + t + 1)
+    return range(t + 1, t + p + 1), range(1, t + 1)
+
+
+def _mixed_chain(w: ColoredGraph, k: int, p_first: bool) -> Cert:
+    """Certificate for the canonical welding w of P(1) and T(k); concludes P(2k+1).
+
+    One 8-vertex rewrite per torus block, last block first.  While torus
+    blocks remain before it, the summand holding the P(m) part and the last
+    block is recombined into the canonical welding of P(m) and T(1), which
+    ``_rewrite_block`` certifies, and the chain goes on with P(m+2) welded
+    to T(j-1).  The records are closed from the last one back.
+    """
+    closes, m = [], 1
+    for j in range(k, 1, -1):
+        p_ids, t_ids = _welding_ids(m, j, p_first)
+        prev = frozenset(t_ids[:4 * j - 3])  # the T(j-1) part
+        seam, prev_sum, big, prev_is_a = _summands_at(w, prev)
+        inner = renumbering(w.n, prev)
+        seam_b, p_sum, t_sum, p_first_b = _summands_at(big, frozenset(inner[v] for v in p_ids))
+        w_b, close_b = _congruence(seam_b, p_sum, _iso_cert(p_sum, form_P(m)),
+                                   t_sum, _iso_cert(t_sum, form_T(1)), p_first_b)
+        big_cert = close_b(_rewrite_block(w_b, m, p_first_b))
+        w, close = _congruence(seam, prev_sum, _iso_cert(prev_sum, form_T(j - 1)),
+                               big, big_cert, prev_is_a)
+        closes.append(close)
+        m, p_first = m + 2, not prev_is_a
+    node = _rewrite_block(w, m, p_first)
+    for close in reversed(closes):
+        node = close(node)
+    return node
+
+
+def _rewrite_block(w: ColoredGraph, m: int, p_first: bool) -> Cert:
+    """Certificate for the canonical welding w of P(m) and T(1); concludes P(m+2).
+
+    The 8-vertex rewrite takes the torus block and the K4 block welded to
+    it to P(3); where m >= 3 the P(m-1) tail is detached first.
+    """
+    if m > 1:
+        # P(m)'s vertices 2 and 3 stay in the welded K4 block; 4.. are the tail.
+        p_ids, _ = _welding_ids(m, 1, p_first)
+        seam, tail, rew, tail_is_a = _summands_at(w, frozenset(p_ids[2:]))
     else:
-        p_part = set(range(nt, nt + np_ - 1))
-        t_id = lambda w: w
-    tprev = {t_id(w) for w in range(1, 4 * j - 2)} if j >= 2 else set()
-    lo = 4 * j - 2 if j >= 2 else 1
-    tj = {t_id(w) for w in range(lo, 4 * j + 2)}
-    return p_part, tj, tprev
-
-
-def _mixed_chain_node(w: ColoredGraph, j: int, m: int, p_first: bool) -> Cert:
-    """Certificate for (a canonical welding of) T(j) # P(m); concludes P(2j+m).
-
-    One 8-vertex rewrite per torus block: the seam isolating the last
-    block next to (a K4 block of) the P side is recombined after the
-    rewrite, and the chain recurses with j-1 and m+2.
-    """
-    p_part, tj_part, tprev_part = _mixed_part_ids(j, m, p_first)
-
-    if j >= 2:
-        seam = seam_from_side(w, frozenset(tprev_part))
-        side_big = frozenset(p_part | tj_part)
-        # Certify the P(m) # T1 side: recombine its own split into canonical
-        # graphs, then run the j=1 chain on the canonical welding.
-        s_a, _, s_b, _ = extract_summands(w, seam)
-        big_is_a = seam.side_a == side_big
-        big, prev = (s_a, s_b) if big_is_a else (s_b, s_a)
-        big_cert = _mixed_side_cert(big, side_big, p_part, m)
-        prev_cert = _iso_cert(prev, form_T(j - 1))
-        w_t = 4 * (j - 1) + 2
-        args = ((s_a, big_cert, s_b, prev_cert, 1, w_t) if big_is_a
-                 else (s_a, prev_cert, s_b, big_cert, w_t, 1))
-        return _recombine(seam, *args,
-                          lambda nxt: _mixed_chain_node(nxt, j - 1, m + 2, big_is_a))
-
+        rew = w
+    trace = rewrite_TP1_to_P3(rew, tp1_seam(rew))
+    node = TraceCert(trace, _iso_cert(verify_trace(rew, trace), form_P(3)))
     if m == 1:
-        trace = rewrite_TP1_to_P3(w, tp1_seam(w))
-        final = verify_trace(w, trace)
-        return TraceCert(trace, _iso_cert(final, form_P(3)))
-
-    # j = 1, m >= 3: detach the P(m-1) tail, rewrite the remaining 8 vertices.
-    # The welded K4 copy keeps its original vertices 2 and 3, which are the
-    # two smallest ids of the P part in either layout.
-    small = set(sorted(p_part)[:2])
-    tail = frozenset(p_part - small)
-    seam = seam_from_side(w, tail)
-    s_a, _, s_b, _ = extract_summands(w, seam)
-    tail_is_a = seam.side_a == tail
-    tail_sum, rew_sum = (s_a, s_b) if tail_is_a else (s_b, s_a)
-    trace = rewrite_TP1_to_P3(rew_sum, tp1_seam(rew_sum))
-    rew_cert = TraceCert(trace, _iso_cert(verify_trace(rew_sum, trace), form_P(3)))
-    tail_cert = _iso_cert(tail_sum, form_P(m - 1))
-    args = ((s_a, tail_cert, s_b, rew_cert, 2 * (m - 1) + 2, 1) if tail_is_a
-             else (s_a, rew_cert, s_b, tail_cert, 8, 1))
-    return _recombine(seam, *args, lambda nxt: _iso_cert(nxt, form_P(m + 2)))
-
-
-def _mixed_side_cert(side_graph: ColoredGraph, side_ids: frozenset[int],
-                     p_part: set[int], m: int) -> Cert:
-    """Certificate that a P(m)-plus-torus-block summand reduces to P(m+2).
-
-    The summand's own seam between the P remnant and the torus remnant is
-    recombined into the canonical welding, then the j=1 chain runs there.
-    """
-    order = {v: i + 1 for i, v in enumerate(sorted(side_ids))}
-    inner_p = frozenset(order[v] for v in p_part)
-    seam = seam_from_side(side_graph, inner_p)
-    s_a, _, s_b, _ = extract_summands(side_graph, seam)
-    p_first = seam.side_a == inner_p
-    p_sum, t_sum = (s_a, s_b) if p_first else (s_b, s_a)
-    p_cert = _iso_cert(p_sum, form_P(m))
-    t_cert = _iso_cert(t_sum, form_T(1))
-    args = ((s_a, p_cert, s_b, t_cert, 1, 6) if p_first
-             else (s_a, t_cert, s_b, p_cert, 6, 1))
-    return _recombine(seam, *args, lambda nxt: _mixed_chain_node(nxt, 1, m, p_first))
+        return node
+    joined, close = _congruence(seam, tail, _iso_cert(tail, form_P(m - 1)),
+                                rew, node, tail_is_a)
+    return close(_iso_cert(joined, form_P(m + 2)))

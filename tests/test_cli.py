@@ -202,3 +202,32 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _trivial_seam_certificate(records, nested):
+    """A valid T(1) certificate with ``records`` compose records on the trivial
+    seam at vertex 6, each splitting off L and welding it back.
+
+    Chained, the records follow each other in the root block; nested, each
+    record's left summand block holds the next one.
+    """
+    t1 = gs.fingerprint(gs.make_T1())
+    compose = (f"compose left={t1} right={gs.fingerprint(gs.make_L())} "
+               f"seam=0:5-6,1:1-6,2:3-6 weld=6-1 -> {t1}")
+    conclude_t1 = "conclude T1 map=" + ",".join(f"{u}-{u}" for u in range(1, 7))
+    t1_block = f"trace 1 {t1}\n{conclude_t1}"
+    l_block = f"trace 1 {gs.fingerprint(gs.make_L())}\nconclude L map=1-1,2-2"
+    if nested:
+        blocks = [f"trace 1 {t1}\n{compose}\n{conclude_t1}"] * records
+        blocks += [t1_block] + [l_block] * records
+    else:
+        blocks = [f"trace 1 {t1}\n" + f"{compose}\n" * records + conclude_t1]
+        blocks += [t1_block, l_block] * records
+    return "\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["chained", "nested"])
+def test_verify_deep_valid_certificate(tmp_path, capsys, nested):
+    cf = write(tmp_path, "deep.cert", _trivial_seam_certificate(1500, nested))
+    assert main(["verify", t1_file(tmp_path), cf]) == 0
+    assert capsys.readouterr().out == "verified: T(1)\n"

@@ -1,4 +1,7 @@
+import functools
 import random
+import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +215,55 @@ def test_deeply_nested_certificate_fails_verify_cleanly(tmp_path, capsys):
     assert main(["verify", str(gf), str(cf)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failed:") and "Traceback" not in err
+
+
+# ============================================================
+# mutated certificates
+# ============================================================
+
+
+JUNK = ("-1", "99999", "\u00b2", "P0", "")
+
+
+@functools.cache
+def _reduced_certificates():
+    """(graph, certificate lines) for a few small graphs with mixed blocks."""
+    graphs = (gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9),
+              gs.connected_sum(gs.make_T(2), 7, gs.make_P(2), 2),
+              gs.connected_sum(gs.make_P(2), 1, gs.make_T(1), 1))
+    return [(g, fileio.write_certificate(g, gs.reduce(g)[1]).splitlines()) for g in graphs]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_certificate_raises_only_gem_errors(data):
+    g, lines = data.draw(st.sampled_from(_reduced_certificates()))
+    lines = list(lines)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["token", "field", "delete", "duplicate", "swap"]))
+    tokens = lines[i].split(" ")
+    if op == "token":
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(JUNK))
+    elif op == "field":
+        k = data.draw(st.integers(0, len(tokens) - 1))
+        key, eq, value = tokens[k].rpartition("=")
+        parts = re.split(r"([,:-])", value)  # values at even indices
+        parts[2 * data.draw(st.integers(0, len(parts) // 2))] = data.draw(st.sampled_from(JUNK))
+        tokens[k] = key + eq + "".join(parts)
+    lines[i] = " ".join(tokens)
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "swap":
+        k = data.draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[k] = lines[k], lines[i]
+    start = time.perf_counter()
+    try:
+        gs.verify_certificate(g, fileio.parse_certificate("\n".join(lines) + "\n"))
+    except gs.GemError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 # ============================================================

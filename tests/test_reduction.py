@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -234,6 +235,37 @@ def test_reduce_mixed_chain_deep():
         return (count_rewrites(node.left) + count_rewrites(node.right)
                 + count_rewrites(node.rest))
     assert count_rewrites(cert.root) == 3
+
+
+def _max_stack_depth(fn):
+    """The deepest Python call nesting reached while ``fn()`` runs."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+@pytest.mark.parametrize("small, large", [
+    (gs.connected_sum(gs.make_P1(), 1, gs.make_T(4), 1),
+     gs.connected_sum(gs.make_P1(), 1, gs.make_T(8), 1)),
+    (gs.connected_sum(gs.make_P(4), 1, gs.make_P(4), 1),
+     gs.connected_sum(gs.make_P(8), 1, gs.make_P(8), 1)),
+], ids=["P1+T4-vs-P1+T8", "P4+P4-vs-P8+P8"])
+def test_reduce_stack_depth_does_not_grow_with_n(small, large):
+    depths = [_max_stack_depth(lambda: gs.reduce(g)) for g in (small, large)]
+    assert depths[1] - depths[0] <= 2, depths
 
 
 def test_reduce_relabel_invariance():

@@ -597,10 +597,10 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
     """Open the compose record for the summands x and y of ``seam``.
 
     Returns the canonical welding of both conclusions and a function that
-    closes the record once ``rest`` certifies that welding.  A P form
-    meets a T form at its vertex 1 and the T form at its highest vertex;
-    otherwise the first form's highest vertex (white, for T) meets the
-    second's vertex 1 (black).
+    closes the record once ``rest`` certifies that welding.  A P form is
+    welded at its vertex 1 to a T form's highest vertex; otherwise the
+    first form's highest vertex (white, for T) meets the second's vertex 1
+    (black).
     """
     g_a, left, g_b, right = (x, x_cert, y, y_cert) if x_is_a else (y, y_cert, x, x_cert)
     f_a, f_b = certificate_conclusion(left), certificate_conclusion(right)

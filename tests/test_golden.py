@@ -5,7 +5,12 @@ sums, ``golden/corpus.json`` holds the graph file text and, as produced
 when the corpus was made, the sha256 of its fingerprint, the sha256 of its
 certificate file, the ``gemsurf info`` output and the reduced form.
 
-To rebuild the corpus after an intended change of output, run
+``golden/moves.json`` pins two move tables per graph, as sha256 of their
+text: the outcome (the result, or the error type and message) of every
+``interchange`` at every proper seam, and the trace bytes (or error type)
+of ``rewrite_TP1_to_P3`` at every seam of every torus # K4 welding.
+
+To rebuild both files after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -14,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 import tempfile
@@ -24,9 +30,11 @@ import pytest
 import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.cli import main
+from gemsurf.moves import enumerate_cut_specs
 from gemsurf.reduction import parse_form_token
 
 CORPUS = Path(__file__).with_name("golden") / "corpus.json"
+MOVES = CORPUS.with_name("moves.json")
 SUMS = (("T5", "P3"), ("P7", "P8"), ("T4", "T7"), ("T11", "P2"), ("P15", "T8"),
         ("T12", "T12"))
 # Every T(k) # P(m) with k in 2..4, m in 1..3 and n <= 20, in both orders.
@@ -38,6 +46,13 @@ MIXED_SUMS += tuple((b, a) for a, b in MIXED_SUMS)
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _shuffled(g, rng):
+    """g under a random relabeling drawn from rng."""
+    images = list(range(1, g.n + 1))
+    rng.shuffle(images)
+    return gs.relabel(g, dict(zip(range(1, g.n + 1), images)))
 
 
 def outputs(text: str):
@@ -68,9 +83,7 @@ def inputs() -> dict[str, str]:
     for a, b in SUMS + MIXED_SUMS:
         g1, g2 = (gs.realize(parse_form_token(tok)) for tok in (a, b))
         g = gs.connected_sum(g1, rng.randint(1, g1.n), g2, rng.randint(1, g2.n))
-        images = list(range(1, g.n + 1))
-        rng.shuffle(images)
-        g = gs.relabel(g, dict(zip(range(1, g.n + 1), images)))
+        g = _shuffled(g, rng)
         found[f"sum-{a}-{b}-n{g.n}"] = fileio.write_graph(g)
     return found
 
@@ -88,7 +101,95 @@ def test_golden():
     assert changed == {}
 
 
+def _outcome(make) -> str:
+    """make()'s result, or the type and message of the GemError it raises."""
+    try:
+        return f"ok {make()}"
+    except gs.GemError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def interchange_graphs():
+    """Every catalog class at n = 6 and 10, seeded relabelled T(a) # T(b) with
+    a + b <= 4, P1 # T1, and the first 20 simple cuts of T(2)."""
+    graphs = {}
+    for n in (6, 10):
+        for i, entry in enumerate(gs.enumerate_contracted(n).classes):
+            graphs[f"catalog-n{n}-{i:02d}"] = entry.graph
+    rng = random.Random(1602)
+    for k in range(9):
+        a = rng.randint(1, 3)
+        b = rng.randint(1, 4 - a)
+        g1, g2 = gs.make_T(a), gs.make_T(b)
+        g = gs.connected_sum(g1, rng.randint(1, g1.n), g2, rng.randint(1, g2.n))
+        graphs[f"sum{k}-T{a}-T{b}"] = _shuffled(g, rng)
+    graphs["sum-P1-T1"] = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 1)
+    t2 = gs.make_T(2)
+    for i, spec in enumerate(itertools.islice(enumerate_cut_specs(t2), 20)):
+        graphs[f"cut-T2-{i:02d}"] = gs.simple_cut(t2, spec)
+    return graphs
+
+
+def interchange_table(g) -> str:
+    """The outcome of interchange(g, seam, u', v') for every proper seam and pair."""
+    lines = []
+    for seam in gs.find_seams(g):
+        if not seam.proper:
+            continue
+        g1, _, g2, _ = gs.extract_summands(g, seam)
+        for u_new, v_new in itertools.product(range(1, g1.n + 1), range(1, g2.n + 1)):
+            out = _outcome(lambda: gs.interchange(g, seam, u_new, v_new).matchings)
+            lines.append(f"{seam.edges} {u_new} {v_new} {out}")
+    return "\n".join(lines)
+
+
+def rewrite_graphs():
+    """Every welding of T1 and P1, in both orders, under six seeded relabelings."""
+    graphs = {}
+    rng = random.Random(3101)
+    for tv, pv in itertools.product(range(1, 7), range(1, 5)):
+        for first in ("T", "P"):
+            g = gs.connected_sum(gs.make_T1(), tv, gs.make_P1(), pv)
+            if first == "P":
+                g = gs.connected_sum(gs.make_P1(), pv, gs.make_T1(), tv)
+            for k in range(6):
+                graphs[f"weld-T{tv}-P{pv}-{first}-r{k}"] = _shuffled(g, rng)
+    return graphs
+
+
+def rewrite_table(g) -> str:
+    """The trace sha256, or the error type, of the rewrite at every seam of g."""
+    lines = []
+    for seam in gs.find_seams(g):
+        try:
+            out = _sha(fileio.write_trace(gs.rewrite_TP1_to_P3(g, seam)))
+        except gs.GemError as exc:
+            out = type(exc).__name__
+        lines.append(f"{seam.edges} {out}")
+    return "\n".join(lines)
+
+
+def move_tables() -> dict[str, dict[str, str]]:
+    return {
+        "interchange": {name: _sha(interchange_table(g))
+                        for name, g in interchange_graphs().items()},
+        "rewrite": {name: _sha(rewrite_table(g)) for name, g in rewrite_graphs().items()},
+    }
+
+
+def test_golden_moves():
+    expected = json.loads(MOVES.read_text())
+    got = move_tables()
+    assert {kind: sorted(table) for kind, table in got.items()} == \
+        {kind: sorted(table) for kind, table in expected.items()}
+    changed = [f"{kind}/{name}" for kind, table in got.items()
+               for name, sha in table.items() if expected[kind][name] != sha]
+    assert changed == []
+
+
 if __name__ == "__main__":
     corpus = {name: {"gem": text, **outputs(text)[2]} for name, text in inputs().items()}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(corpus)} cases to {CORPUS}")
+    MOVES.write_text(json.dumps(move_tables(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote the move tables to {MOVES}")

@@ -146,9 +146,7 @@ def relabel(g: ColoredGraph, perm: dict[int, int]) -> ColoredGraph:
     if sorted(perm) != list(range(1, g.n + 1)) or sorted(perm.values()) != list(range(1, g.n + 1)):
         raise ValidationError("relabeling is not a bijection of 1..n")
     rows = [[0] * (g.n + 1) for _ in COLORS]
-    for m, row in zip(g.matchings, rows):
-        for u in range(1, g.n + 1):
-            row[perm[u]] = perm[m[u]]
+    _copy_edges(rows, g, perm)
     return graph_from_matchings(g.n, *rows)
 
 
@@ -202,16 +200,15 @@ def is_contracted(g: ColoredGraph) -> bool:
     return all(k == 1 for k in cycle_counts(g).values())
 
 
-def connected_components(g: ColoredGraph, removed_edges: frozenset = frozenset(),
-                         vertices: frozenset | None = None) -> list[frozenset[int]]:
-    """Components of (a vertex subset of) g, ignoring ``removed_edges``.
+def connected_components(g: ColoredGraph,
+                         removed_edges: frozenset = frozenset()) -> list[frozenset[int]]:
+    """Components of g, ignoring ``removed_edges``.
 
     ``removed_edges`` holds (color, u, v) triples with u < v.
     """
-    verts = set(vertices) if vertices is not None else set(range(1, g.n + 1))
     seen: set[int] = set()
     comps = []
-    for start in sorted(verts):
+    for start in range(1, g.n + 1):
         if start in seen:
             continue
         comp = {start}
@@ -221,8 +218,6 @@ def connected_components(g: ColoredGraph, removed_edges: frozenset = frozenset()
             u = stack.pop()
             for c in COLORS:
                 v = g.matchings[c][u]
-                if v not in verts:
-                    continue
                 e = (c, min(u, v), max(u, v))
                 if e in removed_edges:
                     continue

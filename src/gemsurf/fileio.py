@@ -17,7 +17,8 @@ re-chosen weld pair) and ends every block with a conclude record carrying
 the concluded form and the isomorphism witness.  Sub-certificates follow
 as further trace blocks in pre-order: after a block, the blocks of its
 first compose's left summand (with their own descendants), then the right
-summand's, and so on.  '#' begins a comment; blank lines are ignored.
+summand's, and so on.  Edge fields ``<color>:<u>-<v>`` need u < v, as in
+graph files.  '#' begins a comment; blank lines are ignored.
 All writers emit fixed orderings, so write-read-write is byte identical.
 
 Certificate nodes carry the fingerprints their compose records print, so
@@ -194,15 +195,16 @@ def _parse_pair(ln: int, text: str) -> tuple[int, int]:
         raise FormatError(ln, f"expected <u>-<v>, got {text!r}")
 
 
-def _parse_colored_edge(ln: int, text: str, want_color: int) -> tuple[int, int]:
-    if ":" not in text:
+def _parse_edge(ln: int, text: str) -> tuple[int, tuple[int, int]]:
+    """Parse ``<color>:<u>-<v>``; like a graph file's edge line, it needs u < v."""
+    color, colon, pair = text.partition(":")
+    if not colon:
         raise FormatError(ln, f"expected <color>:<u>-<v>, got {text!r}")
-    color, pair = text.split(":", 1)
     c = _parse_int(ln, color, "edge color")
-    if c != want_color:
-        raise FormatError(ln, f"edge color {c} inconsistent with the cut color "
-                              f"(expected {want_color})")
-    return _parse_pair(ln, pair)
+    u, v = _parse_pair(ln, pair)
+    if u >= v:
+        raise FormatError(ln, f"edge endpoints must satisfy u < v, got {u} {v}")
+    return c, (u, v)
 
 
 def _parse_cut_fields(ln: int, fields: dict[str, str]) -> CutSpec:
@@ -213,10 +215,13 @@ def _parse_cut_fields(ln: int, fields: dict[str, str]) -> CutSpec:
     arc = _parse_int(ln, fields["arc"], "arc vertex")
     if c not in COLORS:
         raise FormatError(ln, f"bad cut color {c}")
-    a, b = other_colors(c)
-    ea = _parse_colored_edge(ln, fields["ea"], a)
-    eb = _parse_colored_edge(ln, fields["eb"], b)
-    return CutSpec(c, ea, eb, arc)
+    edges = {}
+    for key, want in zip(("ea", "eb"), other_colors(c)):
+        color, edges[key] = _parse_edge(ln, fields[key])
+        if color != want:
+            raise FormatError(ln, f"edge color {color} inconsistent with the cut color "
+                                  f"(expected {want})")
+    return CutSpec(c, edges["ea"], edges["eb"], arc)
 
 
 def _parse_seam_edges(ln: int, text: str):
@@ -225,13 +230,10 @@ def _parse_seam_edges(ln: int, text: str):
         raise FormatError(ln, f"seam needs three edges, got {text!r}")
     edges = [None, None, None]
     for part in parts:
-        if ":" not in part:
-            raise FormatError(ln, f"expected <color>:<u>-<v>, got {part!r}")
-        color, pair = part.split(":", 1)
-        c = _parse_int(ln, color, "seam edge color")
+        c, edge = _parse_edge(ln, part)
         if c not in COLORS or edges[c] is not None:
-            raise FormatError(ln, f"seam must list colors 0, 1, 2 once each")
-        edges[c] = _parse_pair(ln, pair)
+            raise FormatError(ln, "seam must list colors 0, 1, 2 once each")
+        edges[c] = edge
     return tuple(edges)
 
 

@@ -240,32 +240,15 @@ def cut_and_glue(g: ColoredGraph, cut: CutSpec, glue: GlueSpec) -> ColoredGraph:
 # ============================================================
 
 
-def _anchored_types(g: ColoredGraph, seam: Seam, g1: ColoredGraph, g2: ColoredGraph):
-    """Summand bipartitions anchored to the parent graph's classes.
-
-    Per-summand normalization (vertex 1 black) can disagree across the
-    seam, which would outlaw the identity interchange; anchoring both
-    sides to g's own bipartition keeps the welded pair's types opposite.
-    Returns None when either summand is non-bipartite (no rule applies).
-    """
-    b1, b2 = is_bipartite(g1), is_bipartite(g2)
-    if b1 is None or b2 is None:
-        return None
-    bg = is_bipartite(g)
-    if bg is None:
-        raise MoveError("both summands bipartite but the whole graph is not")
-
-    def typer(side: frozenset[int], bp):
-        flip = bg.type_of(min(side)) != bp.type_of(1)
-        if not flip:
-            return bp.type_of
-        return lambda v: "black" if bp.type_of(v) == "white" else "white"
-
-    return typer(seam.side_a, b1), typer(seam.side_b, b2)
-
-
 def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredGraph:
-    """Re-weld the two summands at (u_new, v_new) instead of the seam's apexes."""
+    """Re-weld the two summands at (u_new, v_new) instead of the seam's apexes.
+
+    When both summands are bipartite, the welded apexes (a1, a2) are a legal
+    pair, so (u_new, v_new) is legal exactly when u_new relates to a1 as
+    v_new relates to a2: the same type as its apex on both sides or on
+    neither.  Each side compares two vertices of one summand, so the
+    summands' own normalizations cancel.
+    """
     if not seam.proper:
         raise MoveError("interchange requires a proper seam")
     g1, a1, g2, a2 = extract_summands(g, seam)
@@ -273,13 +256,12 @@ def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredG
         raise MoveError(f"vertex {u_new} not in the first summand")
     if not 1 <= v_new <= g2.n:
         raise MoveError(f"vertex {v_new} not in the second summand")
-    typers = _anchored_types(g, seam, g1, g2)
-    if typers is not None:
-        t1, t2 = typers
-        if t1(u_new) == t2(v_new):
-            raise MoveError(
-                f"type rule violated: replacement vertices {u_new} and {v_new} "
-                "are of the same type")
+    b1, b2 = is_bipartite(g1), is_bipartite(g2)
+    if b1 is not None and b2 is not None and (
+            (b1.type_of(u_new) == b1.type_of(a1)) != (b2.type_of(v_new) == b2.type_of(a2))):
+        raise MoveError(
+            f"type rule violated: replacement vertices {u_new} and {v_new} "
+            "are of the same type")
     return connected_sum(g1, u_new, g2, v_new)
 
 

@@ -18,7 +18,7 @@ from .core import (
     ColoredGraph,
     GemError,
     Seam,
-    _propagate,
+    ValidationError,
     _seam_from_triple,
     are_isomorphic,
     bicolored_cycles,
@@ -28,6 +28,7 @@ from .core import (
     graph_from_pairs,
     is_bipartite,
     is_contracted,
+    relabel,
     renumbering,
     seam_from_side,
 )
@@ -254,18 +255,6 @@ def certificate_conclusion(node: Cert) -> CanonicalForm:
     return node.form
 
 
-def _check_iso_mapping(g: ColoredGraph, h: ColoredGraph, mapping: dict[int, int]) -> bool:
-    if sorted(mapping) != list(range(1, g.n + 1)):
-        return False
-    if sorted(mapping.values()) != list(range(1, h.n + 1)):
-        return False
-    for c in (0, 1, 2):
-        for u in range(1, g.n + 1):
-            if mapping[g.matchings[c][u]] != h.matchings[c][mapping[u]]:
-                return False
-    return True
-
-
 def _drive(walk):
     """Run a tree walk made of generators without Python recursion.
 
@@ -324,8 +313,12 @@ def _verify_node(g: ColoredGraph, node: Cert):
             raise CertificateError(f"unknown certificate node {node!r}")
         node = node.rest
     # Compare sizes before realize: a claimed form's size is untrusted.
-    if (node.form.vertex_count != g.n
-            or not _check_iso_mapping(g, realize(node.form), dict(node.mapping))):
+    try:
+        valid = (node.form.vertex_count == g.n
+                 and relabel(g, dict(node.mapping)) == realize(node.form))
+    except ValidationError:
+        valid = False
+    if not valid:
         raise CertificateError(f"isomorphism witness onto {node.form} is invalid")
     return node.form
 
@@ -505,18 +498,6 @@ def split_off_P1(g: ColoredGraph) -> SplitOff:
 # ============================================================
 
 
-def _iso_with_image(g: ColoredGraph, h: ColoredGraph, src: int, dst: int) -> dict[int, int] | None:
-    """A color-preserving isomorphism g -> h sending src to dst, if any.
-
-    Only for connected g (one propagation decides).
-    """
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    if g.n == h.n and _propagate(g, h, src, dst, mapping, used) and len(mapping) == g.n:
-        return mapping
-    return None
-
-
 def tp1_seam(g: ColoredGraph) -> Seam:
     """A proper seam decomposing an 8-vertex graph as torus-block # K4-block."""
     for seam in find_seams(g):
@@ -538,30 +519,25 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     blocks exist, one per color of the edge joining the middle block's two
     welded slots; a cut-and-glue with chosen color c lands on the class
     whose middle pair is c-related.  make_P(3) is the color-1 class, so
-    the move uses chosen color 1: with the torus summand framed so its
-    welded vertex is the hexagon's 6 and the K4 summand so its welded
-    vertex is 1, cut the color-0 edge at (the images of) hexagon 3-4 and
-    the color-2 edge at hexagon 2-5 with z1 on the arc through hexagon-5,
-    then glue at (K4's 4, hexagon's 1), which the color-1 weld edge joins.
+    the move uses chosen color 1.  Both summands have vertex-transitive
+    color-preserving automorphism groups, so the torus summand may be
+    framed with its welded vertex as the hexagon's 6 and the K4 summand
+    with its welded vertex as 1.  Then the torus ends of the color-0, 1
+    and 2 seam edges are the hexagon's 5, 1 and 3, its 2 and 4 are the
+    color-0 partners of 1 and 3, and the K4 end of the color-1 seam edge
+    is K4's 4.  The move cuts the color-0 edge hexagon 3-4 and the color-2
+    edge hexagon 2-5 with z1 on the arc through hexagon-5, then glues at
+    (K4's 4, hexagon's 1), which the color-1 seam edge joins.
     """
     if g.n != 8:
         raise ReductionError(f"rewrite applies to 8-vertex graphs, got n={g.n}")
-    s_a, apex_a, s_b, apex_b = extract_summands(g, seam)
-    by_size = {s_a.n: (s_a, apex_a, seam.side_a), s_b.n: (s_b, apex_b, seam.side_b)}
-    if sorted(by_size) != [4, 6]:
-        raise ReductionError("seam does not split 8 vertices as 6 # 4")
-    (t_sum, t_apex, t_side), (p_sum, p_apex, p_side) = by_size[6], by_size[4]
-    psi_t = _iso_with_image(make_T1(), t_sum, 6, t_apex)
-    psi_p = _iso_with_image(make_P1(), p_sum, 1, p_apex)
-    if psi_t is None or psi_p is None:
+    s_a, _, s_b, _ = extract_summands(g, seam)
+    t_sum, p_sum, t_side = (s_a, s_b, seam.side_a) if s_a.n == 6 else (s_b, s_a, seam.side_b)
+    if are_isomorphic(t_sum, make_T1()) is None or are_isomorphic(p_sum, make_P1()) is None:
         raise ReductionError("seam summands are not the torus graph and K4")
-
-    # A summand numbers its side's vertices in their order in g.
-    t_ids, p_ids = sorted(t_side), sorted(p_side)
-    mu_t = {x: t_ids[psi_t[x] - 1] for x in (1, 2, 3, 4, 5)}
-    move = CutGlue(
-        cut_spec(1, (mu_t[3], mu_t[4]), (mu_t[2], mu_t[5]), arc_vertex=mu_t[5]),
-        GlueSpec(1, (p_ids[psi_p[4] - 1], mu_t[1])))
+    h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
+    h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]
+    move = CutGlue(cut_spec(1, (h3, h4), (h2, h5), arc_vertex=h5), GlueSpec(1, (k4, h1)))
     trace, final = record_trace(g, [move])
     if are_isomorphic(final, make_P(3)) is None:
         raise ReductionError("internal: rewrite did not land on P(3)")

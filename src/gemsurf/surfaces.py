@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import COLORS, ColoredGraph, GemError, bicolored_cycles, is_bipartite, is_connected, is_contracted
-from .reduction import make_L, make_P, make_T
+from .reduction import CanonicalForm, canonical_of, realize
 
 
 class SurfaceError(GemError):
@@ -91,24 +91,24 @@ def complex_stats(g: ColoredGraph) -> ComplexStats:
                         vertices - edges + faces)
 
 
+# The normal form of each surface: L, T(m) and P(m) encode the sphere and
+# the orientable and non-orientable surfaces of genus m.
+_SURFACE_KIND = {"L": "sphere", "T": "orientable", "P": "nonorientable"}
+_FORM_KIND = {kind: form for form, kind in _SURFACE_KIND.items()}
+
+
 def classify_surface(g: ColoredGraph) -> SurfaceClass:
     """The surface encoded by a contracted graph.
 
-    Derived twice: from (n, bipartiteness) and from (Euler characteristic,
-    orientability); the two must agree, else an internal error is raised.
+    Read off the normal form for (n, bipartiteness) and cross-checked
+    against (Euler characteristic, orientability); the two must agree,
+    else an internal error is raised.
     """
     if not is_contracted(g):
         raise SurfaceError("classification requires a contracted graph (a crystallization)")
     bip = is_bipartite(g)
-    n = g.n
-    if n == 2:
-        result = sphere()
-    elif bip is not None:
-        if n % 4 != 2:
-            raise SurfaceError("internal: bipartite contracted graph on 4m vertices")
-        result = orientable((n - 2) // 4)
-    else:
-        result = nonorientable((n - 2) // 2)
+    form = canonical_of(g.n, bip is not None)
+    result = SurfaceClass(_SURFACE_KIND[form.kind], form.m)
 
     chi = complex_stats(g).euler_characteristic
     if bip is not None:
@@ -124,8 +124,4 @@ def classify_surface(g: ColoredGraph) -> SurfaceClass:
 
 def crystallization_of(s: SurfaceClass) -> ColoredGraph:
     """A canonical contracted graph encoding the surface."""
-    if s.kind == "sphere":
-        return make_L()
-    if s.kind == "orientable":
-        return make_T(s.genus)
-    return make_P(s.genus)
+    return realize(CanonicalForm(_FORM_KIND[s.kind], s.genus))

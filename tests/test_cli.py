@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import gemsurf as gs
@@ -169,6 +171,32 @@ def test_verify_malformed_trace_field_is_format_error(tmp_path, capsys, record):
     tf = write(tmp_path, "bad.trace", f"trace 1 fp\n{record}\n")
     assert main(["verify", t1_file(tmp_path), tf]) == 3
     assert "line 2:" in capsys.readouterr().err
+
+
+def _edge_swapped_proof(kind):
+    """A valid T(2) trace or certificate with its first ``kind`` edge spelled v-u."""
+    g = gs.make_T(2)
+    if kind == "cutglue":
+        text, field = fileio.write_trace(gs.split_off_T1(g).trace), "ea"
+    elif kind == "interchange":
+        seam = next(s for s in gs.find_seams(g) if s.proper)
+        _, a1, _, a2 = gs.extract_summands(g, seam)
+        trace, _ = gs.record_trace(g, [gs.Interchange(seam.edges, a1, a2)])
+        text, field = fileio.write_trace(trace), "seam"
+    else:
+        text, field = fileio.write_certificate(g, gs.reduce(g)[1]), "seam"
+    swapped = re.sub(rf"({field}=\d+):(\d+)-(\d+)", r"\1:\3-\2", text, count=1)
+    assert swapped != text
+    return g, swapped
+
+
+@pytest.mark.parametrize("kind", ["cutglue", "interchange", "compose"])
+def test_verify_edge_spelled_high_low_is_format_error(tmp_path, capsys, kind):
+    g, text = _edge_swapped_proof(kind)
+    gf = write(tmp_path, "t2.gem", fileio.write_graph(g))
+    assert main(["verify", gf, write(tmp_path, "swapped.trace", text)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"line \d+: edge endpoints must satisfy u < v", err)
 
 
 @pytest.mark.parametrize("token", ["P\u00b2", "T" + "5" * 5000],

@@ -11,6 +11,7 @@ import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.cli import main
+from gemsurf.core import seam_from_side
 from gemsurf.fileio import FormatError
 from gemsurf.moves import GlueSpec, enumerate_cut_specs, enumerate_glue_specs
 
@@ -218,7 +219,7 @@ def test_deeply_nested_certificate_fails_verify_cleanly(tmp_path, capsys):
 
 
 # ============================================================
-# mutated certificates
+# mutated graph files, traces and certificates
 # ============================================================
 
 
@@ -226,21 +227,43 @@ JUNK = ("-1", "99999", "\u00b2", "P0", "")
 
 
 @functools.cache
-def _reduced_certificates():
-    """(graph, certificate lines) for a few small graphs with mixed blocks."""
-    graphs = (gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9),
-              gs.connected_sum(gs.make_T(2), 7, gs.make_P(2), 2),
-              gs.connected_sum(gs.make_P(2), 1, gs.make_T(1), 1))
-    return [(g, fileio.write_certificate(g, gs.reduce(g)[1]).splitlines()) for g in graphs]
+def _mutation_inputs():
+    """(name, lines, check) for the graph file, a cut-and-glue trace, an
+    interchange trace and the reduced certificate of a few small sums with
+    mixed blocks; ``check`` runs the text of a possibly mutated copy."""
+    sums = ((gs.make_P1(), 3, gs.make_T(2), 9),
+            (gs.make_T(2), 7, gs.make_P(2), 2),
+            (gs.make_P(2), 1, gs.make_T(1), 1))
+    cases = []
+    for k, (a, va, b, vb) in enumerate(sums):
+        g = gs.connected_sum(a, va, b, vb)
+        ms, n = g.matchings, g.n
+        cert = gs.reduce(g)[1]
+        # The benchmark's trace shapes: a cut undone by a glue, and an
+        # interchange at the first summand's seam.
+        far = ms[1][ms[0][ms[1][ms[0][1]]]]
+        cut = gs.Cut(gs.cut_spec(2, (1, ms[0][1]), (far, ms[1][far])))
+        glue = gs.Glue(GlueSpec(2, (n + 1, n + 2)))
+        seam = seam_from_side(g, frozenset(range(1, a.n)))
+        swap = gs.Interchange(seam.edges, 1, 1)
+        cases.append((f"graph{k}", fileio.write_graph(g),
+                      lambda text, cert=cert: gs.verify_certificate(fileio.parse_graph(text), cert)))
+        for name, moves in (("glue", [cut, glue]), ("interchange", [swap])):
+            text = fileio.write_trace(gs.record_trace(g, moves)[0])
+            cases.append((f"{name}{k}", text,
+                          lambda text, g=g: gs.verify_trace(g, fileio.parse_trace(text))))
+        cases.append((f"cert{k}", fileio.write_certificate(g, cert),
+                      lambda text, g=g: gs.verify_certificate(g, fileio.parse_certificate(text))))
+    return [(name, tuple(text.splitlines()), check) for name, text, check in cases]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_certificate_raises_only_gem_errors(data):
-    g, lines = data.draw(st.sampled_from(_reduced_certificates()))
+    _, lines, check = data.draw(st.sampled_from(_mutation_inputs()))
     lines = list(lines)
     i = data.draw(st.integers(0, len(lines) - 1))
-    op = data.draw(st.sampled_from(["token", "field", "delete", "duplicate", "swap"]))
+    op = data.draw(st.sampled_from(["token", "field", "reverse", "delete", "duplicate", "swap"]))
     tokens = lines[i].split(" ")
     if op == "token":
         tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(JUNK))
@@ -251,7 +274,13 @@ def test_mutated_certificate_raises_only_gem_errors(data):
         parts[2 * data.draw(st.integers(0, len(parts) // 2))] = data.draw(st.sampled_from(JUNK))
         tokens[k] = key + eq + "".join(parts)
     lines[i] = " ".join(tokens)
-    if op == "delete":
+    if op == "reverse":  # one u-v pair, or a graph file's "u v", spelled v-u
+        pairs = list(re.finditer(r"\d+-\d+|\d+ \d+$", lines[i]))
+        if pairs:
+            m = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+            u, sep, v = re.split(r"([- ])", m.group())
+            lines[i] = lines[i][:m.start()] + v + sep + u + lines[i][m.end():]
+    elif op == "delete":
         del lines[i]
     elif op == "duplicate":
         lines.insert(i, lines[i])
@@ -260,7 +289,7 @@ def test_mutated_certificate_raises_only_gem_errors(data):
         lines[i], lines[k] = lines[k], lines[i]
     start = time.perf_counter()
     try:
-        gs.verify_certificate(g, fileio.parse_certificate("\n".join(lines) + "\n"))
+        check("\n".join(lines) + "\n")
     except gs.GemError:
         pass
     assert time.perf_counter() - start < 1.0

@@ -87,6 +87,30 @@ def test_iso_negative_and_positive(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("isomorphic: 1->")
 
 
+def disjoint_union(*graphs):
+    records, offset = [], 0
+    for g in graphs:
+        records += [(c, u + offset, v + offset) for (c, u, v) in g.edges()]
+        offset += g.n
+    return gs.validate(offset, records)
+
+
+@pytest.mark.parametrize("g, k, expected", [
+    (gs.make_T(2), 3,
+     "isomorphic: 1->3 2->6 3->9 4->2 5->5 6->8 7->1 8->4 9->7 10->10\n"),
+    (disjoint_union(gs.make_T1(), gs.make_P1(), gs.make_L()), 5,
+     "isomorphic: 1->1 2->6 3->5 4->10 5->3 6->8 7->2 8->9 9->4 10->11 11->7 12->12\n"),
+])
+def test_iso_witness_bytes(tmp_path, capsys, g, k, expected):
+    # The relabelling v -> k*v - 1 (mod n) + 1; the witness pins which of
+    # the automorphic images `iso` reports, component by component.
+    h = gs.relabel(g, {v: (v * k - 1) % g.n + 1 for v in range(1, g.n + 1)})
+    a = write(tmp_path, "a.gem", fileio.write_graph(g))
+    b = write(tmp_path, "b.gem", fileio.write_graph(h))
+    assert main(["iso", a, b]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_reduce_verify_round_trip(tmp_path, capsys):
     g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
     gf = write(tmp_path, "g.gem", fileio.write_graph(g))

@@ -20,10 +20,11 @@ from .core import (
     ColoredGraph,
     GemError,
     bicolored_cycles,
+    canonical_graph,
     graph_from_matchings,
     is_bipartite,
 )
-from .moves import canonical_graph, fingerprint
+from .moves import fingerprint
 from .reduction import CanonicalForm, canonical_of
 from .surfaces import complex_stats
 

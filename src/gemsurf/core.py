@@ -255,13 +255,14 @@ class Bipartition:
 def is_bipartite(g: ColoredGraph) -> Bipartition | None:
     """The normalized bipartition if one exists, else None.
 
-    The input must be connected (the normalization anchors vertex 1).
+    The input must be connected (the normalization anchors vertex 1).  One
+    2-coloring walk from vertex 1 both finds an odd edge and checks that
+    every vertex was reached.
     """
-    if not is_connected(g):
-        raise GemError("bipartiteness is only defined here for connected graphs")
     side = [None] * (g.n + 1)
     side[1] = 0
     stack = [1]
+    odd = False
     while stack:
         u = stack.pop()
         for c in COLORS:
@@ -270,72 +271,90 @@ def is_bipartite(g: ColoredGraph) -> Bipartition | None:
                 side[v] = 1 - side[u]
                 stack.append(v)
             elif side[v] == side[u]:
-                return None
+                odd = True
+    if None in side[1:]:
+        raise GemError("bipartiteness is only defined here for connected graphs")
+    if odd:
+        return None
     blacks = frozenset(v for v in range(1, g.n + 1) if side[v] == 0)
     whites = frozenset(v for v in range(1, g.n + 1) if side[v] == 1)
     return Bipartition(blacks, whites)
 
 
 # ============================================================
-# Isomorphism (colors fixed, never permuted)
+# Canonical labeling and isomorphism (colors fixed, never permuted)
 # ============================================================
 
 
-def _propagate(g: ColoredGraph, h: ColoredGraph, src: int, dst: int,
-               mapping: dict[int, int], used: set[int]) -> bool:
-    """Extend ``mapping`` with src -> dst through src's component.
+def _bfs_encoding(g: ColoredGraph, root: int) -> tuple[tuple, list[int]]:
+    """Relabel root's component by first-visit order (neighbors in color order).
 
-    Returns False (leaving mapping/used dirty; caller discards) on any
-    color conflict.  Since the component is 3-regular and colors are
-    fixed, the image of one vertex forces the whole component.
+    Returns ((size, m0, m1, m2), order): the matchings restricted to the
+    component in the new labels, each row listing new labels 1..size in
+    order, and the visit order, so order[i] is the vertex labeled i+1.
+    Colors are fixed, so the image of one vertex forces its component:
+    root -> dst extends to an isomorphism of components exactly when both
+    encodings are equal, and it is then order -> dst's order.
     """
-    mapping[src] = dst
-    used.add(dst)
-    stack = [src]
-    while stack:
-        u = stack.pop()
+    label = {root: 1}
+    order = [root]
+    i = 0
+    while i < len(order):
+        u = order[i]
+        i += 1
         for c in COLORS:
             v = g.matchings[c][u]
-            w = h.matchings[c][mapping[u]]
-            if v in mapping:
-                if mapping[v] != w:
-                    return False
-            elif w in used:
-                return False
-            else:
-                mapping[v] = w
-                used.add(w)
-                stack.append(v)
-    return True
+            if v not in label:
+                label[v] = len(order) + 1
+                order.append(v)
+    return (len(order), *(tuple(label[m[u]] for u in order) for m in g.matchings)), order
+
+
+def canonical_graph(g: ColoredGraph) -> ColoredGraph:
+    """The lexicographically least relabeling of g.
+
+    Per connected component, the encoding is taken from every vertex and
+    the least kept; components are then sorted and concatenated.  This is
+    a canonical labeling, so equality of canonical graphs is exactly
+    isomorphism.
+    """
+    encs = sorted(min(_bfs_encoding(g, root)[0] for root in sorted(comp))
+                  for comp in connected_components(g))
+    rows: list[list[int]] = [[0], [0], [0]]
+    offset = 0
+    for (k, *enc_rows) in encs:
+        for row, enc in zip(rows, enc_rows):
+            row.extend(offset + x for x in enc)
+        offset += k
+    return graph_from_matchings(g.n, *rows)
 
 
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
     """A color-preserving vertex bijection g -> h, or None.
 
-    For a connected graph the image of vertex 1 determines everything, so
-    at most n candidate maps are tried.  Disconnected graphs are matched
-    component by component (greedy matching is safe: isomorphism classes
-    partition the components).
+    Each component of g, taken in order of its least vertex, is mapped
+    onto the component of the least unused vertex of h with the same
+    encoding (greedy matching is safe: isomorphism classes partition the
+    components).
     """
     if g.n != h.n:
         return None
-    g_comps = connected_components(g)
     mapping: dict[int, int] = {}
-    used: set[int] = set()
-    for comp in g_comps:
-        root = min(comp)
-        found = False
+    used = [False] * (h.n + 1)
+    for root in range(1, g.n + 1):
+        if root in mapping:
+            continue
+        enc, order = _bfs_encoding(g, root)
         for dst in range(1, h.n + 1):
-            if dst in used:
-                continue
-            trial = dict(mapping)
-            trial_used = set(used)
-            if _propagate(g, h, root, dst, trial, trial_used):
-                mapping, used = trial, trial_used
-                found = True
-                break
-        if not found:
+            if not used[dst]:
+                h_enc, image = _bfs_encoding(h, dst)
+                if h_enc == enc:
+                    break
+        else:
             return None
+        for u, v in zip(order, image):
+            mapping[u] = v
+            used[v] = True
     return mapping
 
 

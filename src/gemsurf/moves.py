@@ -1,7 +1,8 @@
 """The move calculus: simple cut, simple glueing, cut-and-glue, interchange.
 
 Also home of the canonical fingerprint (a full canonical labeling, not a
-lossy hash) and of replayable, machine-verified move traces.
+lossy hash, read off ``core.canonical_graph``) and of replayable,
+machine-verified move traces.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .core import (
     _copy_edges,
     _seam_from_triple,
     bicolored_cycles,
-    connected_components,
+    canonical_graph,
     connected_sum,
     extract_summands,
     graph_from_matchings,
@@ -266,47 +267,8 @@ def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredG
 
 
 # ============================================================
-# Canonical labeling and fingerprints
+# Fingerprints
 # ============================================================
-
-
-def _bfs_encoding(g: ColoredGraph, root: int) -> tuple:
-    """Relabel root's component by first-visit order (neighbors in color order).
-
-    Returns (size, m0, m1, m2) with matchings restricted to the component
-    in the new labels, each row listing new labels 1..size in order.
-    """
-    label = {root: 1}
-    order = [root]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for c in COLORS:
-            v = g.matchings[c][u]
-            if v not in label:
-                label[v] = len(order) + 1
-                order.append(v)
-    return (len(order), *(tuple(label[m[u]] for u in order) for m in g.matchings))
-
-
-def canonical_graph(g: ColoredGraph) -> ColoredGraph:
-    """The lexicographically least relabeling of g.
-
-    Per connected component, propagation is run from every vertex and the
-    least encoding kept; components are then sorted and concatenated.
-    This is a canonical labeling, so equality of canonical graphs is
-    exactly isomorphism.
-    """
-    encs = sorted(min(_bfs_encoding(g, root) for root in sorted(comp))
-                  for comp in connected_components(g))
-    rows: list[list[int]] = [[0], [0], [0]]
-    offset = 0
-    for (k, *enc_rows) in encs:
-        for row, enc in zip(rows, enc_rows):
-            row.extend(offset + x for x in enc)
-        offset += k
-    return graph_from_matchings(g.n, *rows)
 
 
 def fingerprint(g: ColoredGraph) -> str:

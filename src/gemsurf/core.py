@@ -291,10 +291,7 @@ def _bfs_encoding(g: ColoredGraph, root: int) -> tuple[tuple, list[int]]:
 
     Returns ((size, m0, m1, m2), order): the matchings restricted to the
     component in the new labels, each row listing new labels 1..size in
-    order, and the visit order, so order[i] is the vertex labeled i+1.
-    Colors are fixed, so the image of one vertex forces its component:
-    root -> dst extends to an isomorphism of components exactly when both
-    encodings are equal, and it is then order -> dst's order.
+    order, and the visit order (order[i] is labeled i+1).
     """
     label = {root: 1}
     order = [root]
@@ -332,29 +329,29 @@ def canonical_graph(g: ColoredGraph) -> ColoredGraph:
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
     """A color-preserving vertex bijection g -> h, or None.
 
-    Each component of g, taken in order of its least vertex, is mapped
-    onto the component of the least unused vertex of h with the same
-    encoding (greedy matching is safe: isomorphism classes partition the
-    components).
+    With colors fixed, root -> dst extends to an isomorphism of their
+    components exactly when both encodings are equal, and it is then the
+    zip of the two visit orders.  Components of g, by least vertex, each
+    take the least unused such dst (greedy matching is safe: isomorphism
+    classes partition the components).
     """
     if g.n != h.n:
         return None
     mapping: dict[int, int] = {}
-    used = [False] * (h.n + 1)
+    used: set[int] = set()
     for root in range(1, g.n + 1):
         if root in mapping:
             continue
         enc, order = _bfs_encoding(g, root)
         for dst in range(1, h.n + 1):
-            if not used[dst]:
+            if dst not in used:
                 h_enc, image = _bfs_encoding(h, dst)
                 if h_enc == enc:
                     break
         else:
             return None
-        for u, v in zip(order, image):
-            mapping[u] = v
-            used[v] = True
+        mapping.update(zip(order, image))
+        used.update(image)
     return mapping
 
 

@@ -659,13 +659,15 @@ def _rewrite_block(w: ColoredGraph, m: int, p_first: bool) -> Cert:
     The 8-vertex rewrite takes the torus block and the K4 block welded to
     it to P(3); where m >= 3 the P(m-1) tail is detached first.
     """
+    p_ids, _ = _welding_ids(m, 1, p_first)
     if m > 1:
-        # P(m)'s vertices 2 and 3 stay in the welded K4 block; 4.. are the tail.
-        p_ids, _ = _welding_ids(m, 1, p_first)
+        # P(m)'s vertices 2 and 3 and rew's apex form the K4 block; 4.. are the tail.
         seam, tail, rew, tail_is_a = _summands_at(w, frozenset(p_ids[2:]))
+        inner = renumbering(w.n, p_ids[2:])
+        k4 = frozenset((inner[p_ids[0]], inner[p_ids[1]], rew.n))
     else:
-        rew = w
-    trace = rewrite_TP1_to_P3(rew, tp1_seam(rew))
+        rew, k4 = w, frozenset(p_ids)
+    trace = rewrite_TP1_to_P3(rew, seam_from_side(rew, k4))
     node = TraceCert(trace, _iso_cert(verify_trace(rew, trace), form_P(3)))
     if m == 1:
         return node

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import COLORS, ColoredGraph, GemError, bicolored_cycles, is_bipartite, is_connected, is_contracted
+from .core import ColoredGraph, GemError, cycle_counts, is_bipartite, is_connected, is_contracted
 from .reduction import CanonicalForm, canonical_of, realize
 
 
@@ -80,14 +80,13 @@ def complex_stats(g: ColoredGraph) -> ComplexStats:
     """Counts for the 2-complex of a connected graph."""
     if not is_connected(g):
         raise SurfaceError("complex statistics require a connected graph")
-    per_label = []
-    for c in COLORS:
-        a, b = sorted(set(COLORS) - {c})
-        per_label.append(len(bicolored_cycles(g, a, b).cycles))
+    # Label c counts the cycles on the other two colors.
+    counts = cycle_counts(g)
+    per_label = (counts[1, 2], counts[0, 2], counts[0, 1])
     faces = g.n
     edges = 3 * g.n // 2
     vertices = sum(per_label)
-    return ComplexStats(faces, edges, tuple(per_label), vertices,
+    return ComplexStats(faces, edges, per_label, vertices,
                         vertices - edges + faces)
 
 

@@ -2,7 +2,7 @@
 
 Two graphs must have equal fingerprints exactly when networkx finds a
 color-preserving isomorphism between them, and ``are_isomorphic`` must
-give the same answer.
+give the same answer with a witness that maps one graph onto the other.
 """
 
 import itertools
@@ -29,10 +29,21 @@ def relabelled(g, rng):
     return gs.relabel(g, dict(zip(range(1, g.n + 1), images)))
 
 
+def disjoint_union(*graphs):
+    records, offset = [], 0
+    for g in graphs:
+        records += [(c, u + offset, v + offset) for (c, u, v) in g.edges()]
+        offset += g.n
+    return gs.validate(offset, records)
+
+
 def assert_agree(g, h, isomorphic):
-    """g and h are (graph, networkx copy) pairs."""
+    """g and h are (graph, networkx copy) pairs; a witness must map g onto h."""
     assert nx.is_isomorphic(g[1], h[1], edge_match=SAME_COLORS) == isomorphic
-    assert (gs.are_isomorphic(g[0], h[0]) is not None) == isomorphic
+    witness = gs.are_isomorphic(g[0], h[0])
+    assert (witness is not None) == isomorphic
+    if witness is not None:
+        assert gs.relabel(g[0], witness) == h[0]
 
 
 def assert_fingerprints_match_networkx(graphs):
@@ -61,3 +72,12 @@ def test_cut_graphs_and_relabellings():
     cuts = [gs.simple_cut(g, spec) for g in sources for spec in enumerate_cut_specs(g)]
     assert not any(gs.is_contracted(g) for g in cuts)
     assert_fingerprints_match_networkx(cuts + [relabelled(g, rng) for g in cuts])
+
+
+def test_disjoint_unions_and_relabellings():
+    rng = random.Random(10)
+    classes = [e.graph for n in (2, 4, 6) for e in gs.enumerate_contracted(n).classes]
+    unions = [disjoint_union(*(rng.choice(classes) for _ in range(rng.choice((2, 3)))))
+              for _ in range(40)]
+    assert not any(gs.is_connected(g) for g in unions)
+    assert_fingerprints_match_networkx(unions + [relabelled(g, rng) for g in unions])

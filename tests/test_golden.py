@@ -10,7 +10,15 @@ text: the outcome (the result, or the error type and message) of every
 ``interchange`` at every proper seam, and the trace bytes (or error type)
 of ``rewrite_TP1_to_P3`` at every seam of every torus # K4 welding.
 
-To rebuild both files after an intended change of output, run
+``golden/large.json`` pins fingerprints where the corpus stops: seeded,
+relabelled random contracted graphs at n = 130, 258 and 514, the forms
+T(64), T(128), P(128), P(256) and a relabelled P(60) # T(30), simple cuts
+of large graphs, and a relabelled disjoint union of three components.  Each case holds the sha256 of its graph file text
+(so the seeded inputs are pinned too) and of its fingerprint; the two
+n = 130 graphs also hold the sha256 of their certificate file and their
+reduced form.
+
+To rebuild the three files after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -30,11 +38,13 @@ import pytest
 import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.cli import main
+from gemsurf.core import graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
 from gemsurf.reduction import parse_form_token
 
 CORPUS = Path(__file__).with_name("golden") / "corpus.json"
 MOVES = CORPUS.with_name("moves.json")
+LARGE = CORPUS.with_name("large.json")
 SUMS = (("T5", "P3"), ("P7", "P8"), ("T4", "T7"), ("T11", "P2"), ("P15", "T8"),
         ("T12", "T12"))
 # Every T(k) # P(m) with k in 2..4, m in 1..3 and n <= 20, in both orders.
@@ -187,9 +197,105 @@ def test_golden_moves():
     assert changed == []
 
 
+def random_contracted(rng, n: int, bipartite: bool):
+    """A relabelled contracted graph on the standard {0,1}-cycle.
+
+    The colour-0 edges (u, u+1), u odd, are put in a random cyclic order,
+    each read odd end first when ``bipartite`` and either way round
+    otherwise; colour 2 joins each edge's second end to the next edge's
+    first end, so the {0,2}-subgraph is one cycle.  Draws are repeated until
+    the {1,2}-subgraph is one cycle too and the bipartiteness is as asked.
+    """
+    m0 = [0] + [u + 1 if u % 2 else u - 1 for u in range(1, n + 1)]
+    m1 = [0] + [u % n + 1 if u % 2 == 0 else (u - 2) % n + 1 for u in range(1, n + 1)]
+    while True:
+        starts = list(range(1, n, 2))
+        rng.shuffle(starts)
+        ends = [(u, u + 1) if bipartite or rng.getrandbits(1) else (u + 1, u) for u in starts]
+        m2 = [0] * (n + 1)
+        for (_, tail), (head, _) in zip(ends, ends[1:] + ends[:1]):
+            m2[tail], m2[head] = head, tail
+        if _walk_closes_at(n, m1, m2):
+            g = graph_from_matchings(n, m0, m1, m2)
+            if (gs.is_bipartite(g) is not None) == bipartite:
+                return _shuffled(g, rng)
+
+
+def _walk_closes_at(n: int, ma, mb) -> bool:
+    """True iff the cycle of the ma, mb matchings through vertex 1 has all n vertices."""
+    v, length = 1, 0
+    while True:
+        v, length = mb[ma[v]], length + 2
+        if v == 1:
+            return length == n
+
+
+def large_graphs():
+    """The large-n gate's inputs, made from fixed seeds."""
+    rng = random.Random(1026)
+    graphs = {}
+    for n in (130, 258, 514):
+        for bipartite in (True, False):
+            name = f"random-n{n}-{'bip' if bipartite else 'nonbip'}"
+            graphs[name] = random_contracted(rng, n, bipartite)
+    for tok in ("T64", "T128", "P128", "P256"):
+        graphs[f"form-{tok}"] = gs.realize(parse_form_token(tok))
+    p, t = gs.make_P(60), gs.make_T(30)
+    graphs["sum-P60-T30"] = _shuffled(
+        gs.connected_sum(p, rng.randint(1, p.n), t, rng.randint(1, t.n)), rng)
+    for source in ("random-n130-bip", "random-n258-nonbip", "form-P128"):
+        g = graphs[source]
+        for k in range(2):
+            for _ in range(k + 1):
+                specs = list(itertools.islice(enumerate_cut_specs(g), 300))
+                g = gs.simple_cut(g, rng.choice(specs))
+            graphs[f"cut{k + 1}-{source}"] = _shuffled(g, rng)
+    graphs["union-n130-bip-twice-P64"] = _shuffled(_disjoint_union(
+        graphs["random-n130-bip"], graphs["random-n130-bip"], gs.make_P(64)), rng)
+    return graphs
+
+
+def _disjoint_union(*parts):
+    """The graphs side by side, each shifted past the ones before it."""
+    rows = [[0], [0], [0]]
+    offset = 0
+    for g in parts:
+        for row, m in zip(rows, g.matchings):
+            row.extend(offset + v for v in m[1:])
+        offset += g.n
+    return graph_from_matchings(offset, *rows)
+
+
+REDUCED = ("random-n130-bip", "random-n130-nonbip")
+
+
+def large_table() -> dict[str, dict[str, str]]:
+    table = {}
+    for name, g in large_graphs().items():
+        case = {"graph_sha256": _sha(fileio.write_graph(g)),
+                "fingerprint_sha256": _sha(gs.fingerprint(g))}
+        if name in REDUCED:
+            form, cert = gs.reduce(g)
+            case["certificate_sha256"] = _sha(fileio.write_certificate(g, cert))
+            case["form"] = str(form)
+        table[name] = case
+    return table
+
+
+def test_golden_large():
+    expected = json.loads(LARGE.read_text())
+    got = large_table()
+    assert sorted(got) == sorted(expected)
+    changed = [f"{name}/{key}" for name, case in got.items()
+               for key, value in case.items() if expected[name].get(key) != value]
+    assert changed == []
+
+
 if __name__ == "__main__":
     corpus = {name: {"gem": text, **outputs(text)[2]} for name, text in inputs().items()}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(corpus)} cases to {CORPUS}")
     MOVES.write_text(json.dumps(move_tables(), indent=1, sort_keys=True) + "\n")
     print(f"wrote the move tables to {MOVES}")
+    LARGE.write_text(json.dumps(large_table(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(json.loads(LARGE.read_text()))} large cases to {LARGE}")

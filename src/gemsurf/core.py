@@ -286,25 +286,49 @@ def is_bipartite(g: ColoredGraph) -> Bipartition | None:
 # ============================================================
 
 
-def _bfs_encoding(g: ColoredGraph, root: int) -> tuple[tuple, list[int]]:
+def _bfs_encoding(g: ColoredGraph, root: int, bound: tuple | None = None,
+                  exact: bool = False) -> tuple[tuple, list[int]] | None:
     """Relabel root's component by first-visit order (neighbors in color order).
 
     Returns ((size, m0, m1, m2), order): the matchings restricted to the
     component in the new labels, each row listing new labels 1..size in
     order, and the visit order (order[i] is labeled i+1).
+
+    With ``bound``, an encoding to compare against, the walk checks its m0
+    row while it goes.  Entry i is the label of order[i]'s color-0
+    neighbor, fixed as soon as order[i] is reached, so the walk returns
+    None once its m0 prefix is above bound's, or, with ``exact``, once it
+    differs from bound's.  Without ``exact``, bound must have the same size.
     """
+    m0, m1, m2 = g.matchings
     label = {root: 1}
     order = [root]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for c in COLORS:
-            v = g.matchings[c][u]
-            if v not in label:
-                label[v] = len(order) + 1
-                order.append(v)
-    return (len(order), *(tuple(label[m[u]] for u in order) for m in g.matchings)), order
+    row0 = []
+    ref = bound[1] if bound is not None else None
+    size = len(ref) if ref is not None else 0
+    for i, u in enumerate(order):
+        v = m0[u]
+        x = label.get(v)
+        if x is None:
+            x = label[v] = len(order) + 1
+            order.append(v)
+        if ref is not None:
+            y = ref[i] if i < size else 0  # labels start at 1: past bound's end is above it
+            if x != y:
+                if exact or x > y:
+                    return None
+                ref = None  # below bound: the rest need not be compared
+        row0.append(x)
+        v = m1[u]
+        if v not in label:
+            label[v] = len(order) + 1
+            order.append(v)
+        v = m2[u]
+        if v not in label:
+            label[v] = len(order) + 1
+            order.append(v)
+    rows = (tuple(label[m1[u]] for u in order), tuple(label[m2[u]] for u in order))
+    return (len(order), tuple(row0), *rows), order
 
 
 def canonical_graph(g: ColoredGraph) -> ColoredGraph:
@@ -314,12 +338,31 @@ def canonical_graph(g: ColoredGraph) -> ColoredGraph:
     the least kept; components are then sorted and concatenated.  This is
     a canonical labeling, so equality of canonical graphs is exactly
     isomorphism.
+
+    Roots are scanned in ascending order, so the first root of each
+    component is its least vertex, and that root's visit order is the
+    component.  Every later root of the component is walked against the
+    least encoding so far and dropped once its m0 prefix is larger.
+    Encodings compare by size (equal within a component), then the m0, m1
+    and m2 rows, so a dropped root's encoding is larger than the kept one
+    and the minimum is the one a full scan would keep; the m1 and m2 rows
+    decide only between roots whose m0 rows tie exactly.
     """
-    encs = sorted(min(_bfs_encoding(g, root)[0] for root in sorted(comp))
-                  for comp in connected_components(g))
+    first_of = [0] * (g.n + 1)
+    least: dict[int, tuple] = {}
+    for root in range(1, g.n + 1):
+        first = first_of[root]
+        if not first:
+            least[root], comp = _bfs_encoding(g, root)
+            for v in comp:
+                first_of[v] = root
+            continue
+        found = _bfs_encoding(g, root, least[first])
+        if found is not None and found[0] < least[first]:
+            least[first] = found[0]
     rows: list[list[int]] = [[0], [0], [0]]
     offset = 0
-    for (k, *enc_rows) in encs:
+    for (k, *enc_rows) in sorted(least.values()):
         for row, enc in zip(rows, enc_rows):
             row.extend(offset + x for x in enc)
         offset += k
@@ -333,7 +376,9 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
     components exactly when both encodings are equal, and it is then the
     zip of the two visit orders.  Components of g, by least vertex, each
     take the least unused such dst (greedy matching is safe: isomorphism
-    classes partition the components).
+    classes partition the components).  A candidate dst is dropped as soon
+    as its m0 prefix differs from root's, which only skips unequal
+    encodings, so the witness is the one a full scan would return.
     """
     if g.n != h.n:
         return None
@@ -345,11 +390,12 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
         enc, order = _bfs_encoding(g, root)
         for dst in range(1, h.n + 1):
             if dst not in used:
-                h_enc, image = _bfs_encoding(h, dst)
-                if h_enc == enc:
+                found = _bfs_encoding(h, dst, enc, exact=True)
+                if found is not None and found[0] == enc:
                     break
         else:
             return None
+        image = found[1]
         mapping.update(zip(order, image))
         used.update(image)
     return mapping

@@ -142,14 +142,15 @@ def make_P(m: int) -> ColoredGraph:
     """Connected sum of m copies of K4, accumulated left to right.
 
     Each copy is welded at the accumulator's highest vertex and the fresh
-    copy's vertex 1.
+    copy's vertex 1, so P(m) is P(m-1) extended by one block.
     """
     if m < 1:
         raise ReductionError("P(m) requires m >= 1")
-    g = make_P1()
-    for _ in range(m - 1):
-        g = connected_sum(g, g.n, make_P1(), 1)
-    return g
+    if m == 1:
+        return make_P1()
+    _warm(make_P, m)
+    prev = make_P(m - 1)
+    return connected_sum(prev, prev.n, make_P1(), 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,14 +158,26 @@ def make_T(m: int) -> ColoredGraph:
     """Connected sum of m copies of the torus graph, accumulated left to right.
 
     Welds pair the accumulator's highest vertex with vertex 1 of the fresh
-    copy; the different-types rule holds at every step.
+    copy, so T(m) is T(m-1) extended by one block; the different-types
+    rule holds at every step.
     """
     if m < 1:
         raise ReductionError("T(m) requires m >= 1")
-    g = make_T1()
-    for _ in range(m - 1):
-        g = connected_sum(g, g.n, make_T1(), 1, enforce_type_rule=True)
-    return g
+    if m == 1:
+        return make_T1()
+    _warm(make_T, m)
+    prev = make_T(m - 1)
+    return connected_sum(prev, prev.n, make_T1(), 1, enforce_type_rule=True)
+
+
+def _warm(make, m: int) -> None:
+    """Cache make(2..m-1) in ascending order, so make(m-1) is one lookup away.
+
+    Each call finds its predecessor cached, so the stack stays two calls
+    deep whatever m is; m comes from untrusted files.
+    """
+    for k in range(2, m - 1):
+        make(k)
 
 
 def realize(form: CanonicalForm) -> ColoredGraph:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import ValidationError
 from gemsurf.catalog import enumerate_contracted
+from gemsurf.core import _bfs_encoding, connected_components, graph_from_matchings
+from gemsurf.moves import enumerate_cut_specs
 
 T1_EDGES = [(0, 1, 2), (0, 3, 4), (0, 5, 6),
             (1, 2, 3), (1, 4, 5), (1, 6, 1),
@@ -191,6 +193,86 @@ def test_iso_disconnected():
     shuffled = gs.relabel(two_l, {1: 3, 2: 4, 3: 1, 4: 2})
     m = gs.are_isomorphic(two_l, shuffled)
     check_iso_witness(two_l, shuffled, m)
+
+
+# ============================================================
+# pruned encoder against the full scan
+# ============================================================
+#
+# canonical_graph and are_isomorphic drop a root or a candidate as soon as
+# its m0 prefix loses; the references below walk every root to the end.
+
+
+def unpruned_canonical(g):
+    encs = sorted(min(_bfs_encoding(g, root)[0] for root in sorted(comp))
+                  for comp in connected_components(g))
+    rows = [[0], [0], [0]]
+    offset = 0
+    for (k, *enc_rows) in encs:
+        for row, enc in zip(rows, enc_rows):
+            row.extend(offset + x for x in enc)
+        offset += k
+    return graph_from_matchings(g.n, *rows)
+
+
+def unpruned_witness(g, h):
+    if g.n != h.n:
+        return None
+    mapping, used = {}, set()
+    for root in range(1, g.n + 1):
+        if root in mapping:
+            continue
+        enc, order = _bfs_encoding(g, root)
+        for dst in range(1, h.n + 1):
+            if dst not in used and _bfs_encoding(h, dst)[0] == enc:
+                image = _bfs_encoding(h, dst)[1]
+                break
+        else:
+            return None
+        mapping.update(zip(order, image))
+        used.update(image)
+    return mapping
+
+
+def copies(g, k):
+    """k disjoint copies of g, the i-th on vertices i*n+1 .. (i+1)*n."""
+    rows = [[0], [0], [0]]
+    for i in range(k):
+        for row, m in zip(rows, g.matchings):
+            row.extend(i * g.n + v for v in m[1:])
+    return graph_from_matchings(k * g.n, *rows)
+
+
+def tie_heavy_graphs():
+    """Inputs whose roots tie on long m0 prefixes: unions of equal components,
+    every catalog class at n <= 10, and simple cuts, each also relabelled."""
+    rng = random.Random(11)
+    graphs = [copies(g, k) for g in (gs.make_L(), gs.make_P1(), gs.make_T1())
+              for k in (2, 3, 5)]
+    graphs.append(gs.relabel(
+        copies(gs.make_T1(), 2), {u: (u + 5) % 12 + 1 for u in range(1, 13)}))
+    graphs += [e.graph for n in range(2, 11, 2) for e in enumerate_contracted(n).classes]
+    for source in (gs.make_T(2), gs.make_P(3), copies(gs.make_P1(), 2)):
+        graphs += [gs.simple_cut(source, spec) for spec in enumerate_cut_specs(source)][::3]
+    return graphs + [gs.relabel(g, random_relabeling(g, rng)) for g in graphs]
+
+
+def test_canonical_graph_matches_full_scan_on_ties():
+    graphs = tie_heavy_graphs()
+    assert any(not gs.is_connected(g) for g in graphs)
+    assert any(not gs.is_contracted(g) for g in graphs)
+    for g in graphs:
+        assert gs.canonical_graph(g) == unpruned_canonical(g)
+
+
+def test_are_isomorphic_witness_matches_full_scan():
+    rng = random.Random(12)
+    graphs = tie_heavy_graphs()
+    for g in graphs:
+        same_n = [h for h in graphs if h.n == g.n]
+        for h in [g] + rng.sample(same_n, min(3, len(same_n))):
+            h = gs.relabel(h, random_relabeling(h, rng))
+            assert gs.are_isomorphic(g, h) == unpruned_witness(g, h)
 
 
 # ============================================================

@@ -291,6 +291,16 @@ def test_golden_large():
     assert changed == []
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("bipartite", [True, False], ids=["bip", "nonbip"])
+def test_reduce_and_verify_at_n514(bipartite):
+    g = random_contracted(random.Random(514), 514, bipartite)
+    form, cert = gs.reduce(g)
+    assert form == gs.canonical_of(g.n, bipartite)
+    text = fileio.write_certificate(g, cert)
+    assert gs.verify_certificate(g, fileio.parse_certificate(text)) == form
+
+
 if __name__ == "__main__":
     corpus = {name: {"gem": text, **outputs(text)[2]} for name, text in inputs().items()}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import inspect
 import random
 import sys
 
@@ -61,6 +62,38 @@ def test_family_bad_index():
         gs.make_P(0)
     with pytest.raises(ReductionError):
         gs.make_T(0)
+
+
+def left_fold(block, k, **kwargs):
+    """k copies of block, each welded at the accumulator's last vertex and its vertex 1."""
+    g = block
+    for _ in range(k - 1):
+        g = gs.connected_sum(g, g.n, block, 1, **kwargs)
+    return g
+
+
+def test_families_equal_the_left_fold():
+    gs.make_P.cache_clear()
+    gs.make_T.cache_clear()
+    for k in range(20, 0, -1):
+        assert gs.make_P(k) == left_fold(gs.make_P1(), k)
+        assert gs.make_T(k) == left_fold(gs.make_T1(), k, enforce_type_rule=True)
+
+
+def test_families_build_without_deep_recursion():
+    # Each call finds its predecessor cached, so the stack stays shallow
+    # whatever k is: k is taken beyond the headroom the limit leaves.
+    gs.make_P.cache_clear()
+    gs.make_T.cache_clear()
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        k = sys.getrecursionlimit() - depth + 20
+        assert gs.make_P(k).n == 2 * k + 2
+        assert gs.make_T(k).n == 4 * k + 2
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_sum_additivity_of_families():

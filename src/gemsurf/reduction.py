@@ -25,6 +25,7 @@ from .core import (
     connected_sum,
     extract_summands,
     find_seams,
+    graph_from_matchings,
     graph_from_pairs,
     is_bipartite,
     is_contracted,
@@ -142,15 +143,11 @@ def make_P(m: int) -> ColoredGraph:
     """Connected sum of m copies of K4, accumulated left to right.
 
     Each copy is welded at the accumulator's highest vertex and the fresh
-    copy's vertex 1, so P(m) is P(m-1) extended by one block.
+    copy's vertex 1.
     """
     if m < 1:
         raise ReductionError("P(m) requires m >= 1")
-    if m == 1:
-        return make_P1()
-    _warm(make_P, m)
-    prev = make_P(m - 1)
-    return connected_sum(prev, prev.n, make_P1(), 1)
+    return _chain(make_P1(), m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,26 +155,34 @@ def make_T(m: int) -> ColoredGraph:
     """Connected sum of m copies of the torus graph, accumulated left to right.
 
     Welds pair the accumulator's highest vertex with vertex 1 of the fresh
-    copy, so T(m) is T(m-1) extended by one block; the different-types
-    rule holds at every step.
+    copy; the different-types rule holds at every step.  (Each copy keeps
+    its own 2-coloring in the sum, so the highest vertex is always a copy's
+    vertex 6, which is white, and it meets vertex 1, which is black.)
     """
     if m < 1:
         raise ReductionError("T(m) requires m >= 1")
-    if m == 1:
-        return make_T1()
-    _warm(make_T, m)
-    prev = make_T(m - 1)
-    return connected_sum(prev, prev.n, make_T1(), 1, enforce_type_rule=True)
+    return _chain(make_T1(), m)
 
 
-def _warm(make, m: int) -> None:
-    """Cache make(2..m-1) in ascending order, so make(m-1) is one lookup away.
+def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
+    """m copies of block, each welded at the accumulator's highest vertex and
+    its own vertex 1, built in one pass over three growing rows.
 
-    Each call finds its predecessor cached, so the stack stays two calls
-    deep whatever m is; m comes from untrusted files.
+    This is ``connected_sum(acc, acc.n, block, 1)`` folded m-1 times: the
+    deleted vertex is always the accumulator's highest, so the others keep
+    their numbers and block vertices 2..b follow, shifted by n-2.  The
+    work and memory are linear in the result, and no smaller form is
+    built or cached, so a large m from an untrusted file costs no more.
     """
-    for k in range(2, m - 1):
-        make(k)
+    rows = [list(row) for row in block.matchings]
+    for _ in range(m - 1):
+        top = len(rows[0]) - 1
+        for row, nbr in zip(rows, block.matchings):
+            end = row.pop()
+            row.extend(v + top - 2 for v in nbr[2:])
+            row[end] = nbr[1] + top - 2
+            row[nbr[1] + top - 2] = end
+    return graph_from_matchings(len(rows[0]) - 1, *rows)
 
 
 def realize(form: CanonicalForm) -> ColoredGraph:

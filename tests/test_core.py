@@ -224,9 +224,10 @@ def unpruned_witness(g, h):
             continue
         enc, order = _bfs_encoding(g, root)
         for dst in range(1, h.n + 1):
-            if dst not in used and _bfs_encoding(h, dst)[0] == enc:
-                image = _bfs_encoding(h, dst)[1]
-                break
+            if dst not in used:
+                h_enc, image = _bfs_encoding(h, dst)
+                if h_enc == enc:
+                    break
         else:
             return None
         mapping.update(zip(order, image))

@@ -13,10 +13,10 @@ of ``rewrite_TP1_to_P3`` at every seam of every torus # K4 welding.
 ``golden/large.json`` pins fingerprints where the corpus stops: seeded,
 relabelled random contracted graphs at n = 130, 258 and 514, the forms
 T(64), T(128), P(128), P(256) and a relabelled P(60) # T(30), simple cuts
-of large graphs, and a relabelled disjoint union of three components.  Each case holds the sha256 of its graph file text
-(so the seeded inputs are pinned too) and of its fingerprint; the two
-n = 130 graphs also hold the sha256 of their certificate file and their
-reduced form.
+of large graphs, and a relabelled disjoint union of three components.
+Each case holds the sha256 of its graph file text (so the seeded inputs
+are pinned too) and of its fingerprint; the two n = 130 graphs also hold
+the sha256 of their certificate file and their reduced form.
 
 To rebuild the three files after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.

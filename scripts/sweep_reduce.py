@@ -8,21 +8,23 @@ one graph is drawn with ``random.Random(N)`` by the sampler of
 ``tests/test_golden.py``; the form caches are emptied, then ``reduce``
 and ``verify_certificate`` are timed once each.  One JSON object per
 graph is printed, then the least-squares slope of log(reduce + verify
-seconds) against log(N) over all graphs.
+seconds) against log(N) over all graphs (``fitted_exponent`` of
+``gembench/graphs.py``).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "gembench")]
 
 import gemsurf as gs  # noqa: E402
+from graphs import fitted_exponent  # noqa: E402
 from test_golden import random_contracted  # noqa: E402
 
 
@@ -43,11 +45,7 @@ def main(argv: list[str]) -> None:
             print(json.dumps({"n": n, "bipartite": bipartite, "form": str(form),
                               "reduce_s": round(t1 - t0, 3), "verify_s": round(t2 - t1, 3)}),
                   flush=True)
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(t) for _, t in points]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
-    print(json.dumps({"exponent": round(slope, 2)}))
+    print(json.dumps({"exponent": round(fitted_exponent(points), 2)}))
 
 
 if __name__ == "__main__":

@@ -168,20 +168,20 @@ def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
     """m copies of block, each welded at the accumulator's highest vertex and
     its own vertex 1, built in one pass over three growing rows.
 
-    This is ``connected_sum(acc, acc.n, block, 1)`` folded m-1 times: the
+    This is ``connected_sum(acc, acc.n, block, 1)`` folded m-1 times.  The
     deleted vertex is always the accumulator's highest, so the others keep
-    their numbers and block vertices 2..b follow, shifted by n-2.  The
-    work and memory are linear in the result, and no smaller form is
-    built or cached, so a large m from an untrusted file costs no more.
+    their numbers and block vertices 2..b follow, shifted by n-2.  Time and
+    memory are linear in the result and no smaller form is built or
+    cached, so a large m read from a file costs only the form itself.
     """
     rows = [list(row) for row in block.matchings]
     for _ in range(m - 1):
-        top = len(rows[0]) - 1
+        shift = len(rows[0]) - 3  # the highest vertex, about to be deleted, minus 2
         for row, nbr in zip(rows, block.matchings):
             end = row.pop()
-            row.extend(v + top - 2 for v in nbr[2:])
-            row[end] = nbr[1] + top - 2
-            row[nbr[1] + top - 2] = end
+            row.extend(v + shift for v in nbr[2:])
+            w = nbr[1] + shift
+            row[end], row[w] = w, end
     return graph_from_matchings(len(rows[0]) - 1, *rows)
 
 

@@ -250,8 +250,6 @@ def tie_heavy_graphs():
     rng = random.Random(11)
     graphs = [copies(g, k) for g in (gs.make_L(), gs.make_P1(), gs.make_T1())
               for k in (2, 3, 5)]
-    graphs.append(gs.relabel(
-        copies(gs.make_T1(), 2), {u: (u + 5) % 12 + 1 for u in range(1, 13)}))
     graphs += [e.graph for n in range(2, 11, 2) for e in enumerate_contracted(n).classes]
     for source in (gs.make_T(2), gs.make_P(3), copies(gs.make_P1(), 2)):
         graphs += [gs.simple_cut(source, spec) for spec in enumerate_cut_specs(source)][::3]

@@ -73,16 +73,14 @@ def left_fold(block, k, **kwargs):
 
 
 def test_families_equal_the_left_fold():
-    gs.make_P.cache_clear()
-    gs.make_T.cache_clear()
-    for k in range(20, 0, -1):
+    for k in range(1, 21):
         assert gs.make_P(k) == left_fold(gs.make_P1(), k)
         assert gs.make_T(k) == left_fold(gs.make_T1(), k, enforce_type_rule=True)
 
 
 def test_families_build_without_deep_recursion():
-    # Each call finds its predecessor cached, so the stack stays shallow
-    # whatever k is: k is taken beyond the headroom the limit leaves.
+    # k comes from untrusted files, so a form must not take one frame per
+    # block: k is taken beyond the headroom the limit leaves.
     gs.make_P.cache_clear()
     gs.make_T.cache_clear()
     depth = len(inspect.stack(0))

@@ -7,9 +7,9 @@ For each N (default 66 130 258 514 1026) and each parity allowed at N,
 one graph is drawn with ``random.Random(N)`` by the sampler of
 ``tests/test_golden.py``; the form caches are emptied, then ``reduce``
 and ``verify_certificate`` are timed once each.  One JSON object per
-graph is printed, then the least-squares slope of log(reduce + verify
-seconds) against log(N) over all graphs (``fitted_exponent`` of
-``gembench/graphs.py``).
+graph is printed, then, when at least two distinct sizes were run, the
+least-squares slope of log(reduce + verify seconds) against log(N) over
+all graphs (``fitted_exponent`` of ``gembench/graphs.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ def main(argv: list[str]) -> None:
             print(json.dumps({"n": n, "bipartite": bipartite, "form": str(form),
                               "reduce_s": round(t1 - t0, 3), "verify_s": round(t2 - t1, 3)}),
                   flush=True)
-    print(json.dumps({"exponent": round(fitted_exponent(points), 2)}))
+    if len({n for n, _ in points}) >= 2:  # a slope needs two distinct sizes
+        print(json.dumps({"exponent": round(fitted_exponent(points), 2)}))
 
 
 if __name__ == "__main__":

@@ -200,33 +200,25 @@ def is_contracted(g: ColoredGraph) -> bool:
     return all(k == 1 for k in cycle_counts(g).values())
 
 
-def connected_components(g: ColoredGraph,
-                         removed_edges: frozenset = frozenset()) -> list[frozenset[int]]:
-    """Components of g, ignoring ``removed_edges``.
+def _reach(g: ColoredGraph, start: int, seen: list[bool], triple=None) -> list[int]:
+    """Mark in ``seen`` and return the unmarked vertices reachable from ``start``,
+    never taking the color-c edge u-v, u < v, that ``triple[c]`` names."""
+    seen[start] = True
+    found = [start]
+    for u in found:
+        for c, m in enumerate(g.matchings):
+            v = m[u]
+            if not seen[v] and (triple is None or triple[c] != (min(u, v), max(u, v))):
+                seen[v] = True
+                found.append(v)
+    return found
 
-    ``removed_edges`` holds (color, u, v) triples with u < v.
-    """
-    seen: set[int] = set()
-    comps = []
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for c in COLORS:
-                v = g.matchings[c][u]
-                e = (c, min(u, v), max(u, v))
-                if e in removed_edges:
-                    continue
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
-    return comps
+
+def connected_components(g: ColoredGraph) -> list[frozenset[int]]:
+    """Components of g, by least vertex; one seen-list across all walks keeps it linear."""
+    seen = [False] * (g.n + 1)
+    return [frozenset(_reach(g, start, seen))
+            for start in range(1, g.n + 1) if not seen[start]]
 
 
 def is_connected(g: ColoredGraph) -> bool:
@@ -461,14 +453,16 @@ class Seam:
 
 
 def _seam_from_triple(g: ColoredGraph, triple) -> Seam | None:
-    removed = frozenset((c, u, v) for c, (u, v) in zip(COLORS, triple))
-    comps = connected_components(g, removed_edges=removed)
-    if len(comps) != 2:
+    """The seam on the edge triple (``triple[c]`` of color c), or None: side A is
+    the walk from vertex 1 that takes no triple edge, side B the walk from the
+    least vertex outside A, and they must cover g with each entry joining them."""
+    seen = [False] * (g.n + 1)
+    a = frozenset(_reach(g, 1, seen, triple))
+    if len(a) == g.n or any((u in a) == (v in a) for (u, v) in triple):
         return None
-    a, b = comps if 1 in comps[0] else (comps[1], comps[0])
-    for (u, v) in triple:
-        if not ((u in a) != (v in a)):
-            return None
+    b = frozenset(_reach(g, seen.index(False, 1), seen, triple))
+    if len(a) + len(b) != g.n:
+        return None
     if len(a) == 1 and len(b) == 1:
         # Degenerate 2-vertex case: both summands would be forced to the
         # 2-vertex graph with the seam using all three edges; not a seam.
@@ -520,6 +514,11 @@ def extract_summands(g: ColoredGraph, s: Seam) -> tuple[ColoredGraph, int, Color
     check = _seam_from_triple(g, s.edges)
     if check is None or {check.side_a, check.side_b} != {s.side_a, s.side_b}:
         raise SeamError("not a seam of this graph")
+    return _summands(g, s)
+
+
+def _summands(g: ColoredGraph, s: Seam) -> tuple[ColoredGraph, int, ColoredGraph, int]:
+    """``extract_summands`` for a seam just derived from g, so left unchecked."""
 
     def build(other_side: frozenset[int]) -> tuple[ColoredGraph, int]:
         order = renumbering(g.n, other_side)

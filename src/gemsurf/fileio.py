@@ -177,12 +177,22 @@ def format_move(move: Move, fp: str) -> str:
     raise GemError(f"unknown move {move!r}")
 
 
-def _parse_fields(ln: int, parts: list[str]) -> dict[str, str]:
+# The keys each record kind defines, all required; a record gives each once.
+_FIELDS = {"cut": ("c", "ea", "eb", "arc"), "glue": ("c", "w"),
+           "cutglue": ("c", "ea", "eb", "arc", "w"), "interchange": ("seam", "u'", "v'"),
+           "compose": ("left", "right", "seam", "weld")}
+
+
+def _parse_fields(ln: int, kind: str, parts: list[str]) -> dict[str, str]:
     fields = {}
     for part in parts:
         if "=" not in part:
             raise FormatError(ln, f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
+        if key in fields:
+            raise FormatError(ln, f"field {key!r} given twice")
+        if kind in _FIELDS and key not in _FIELDS[kind]:
+            raise FormatError(ln, f"{kind} record has no field {key!r}")
         fields[key] = value
     return fields
 
@@ -208,7 +218,7 @@ def _parse_edge(ln: int, text: str) -> tuple[int, tuple[int, int]]:
 
 
 def _parse_cut_fields(ln: int, fields: dict[str, str]) -> CutSpec:
-    for key in ("c", "ea", "eb", "arc"):
+    for key in _FIELDS["cut"]:
         if key not in fields:
             raise FormatError(ln, f"cut record missing field {key!r}")
     c = _parse_int(ln, fields["c"], "cut color")
@@ -242,7 +252,7 @@ def parse_move_record(ln: int, content: str) -> tuple[Move, str]:
     if len(parts) < 3 or parts[-2] != "->":
         raise FormatError(ln, f"record must end with '-> <fingerprint>': {content!r}")
     kind, fp = parts[0], parts[-1]
-    fields = _parse_fields(ln, parts[1:-2])
+    fields = _parse_fields(ln, kind, parts[1:-2])
     if kind == "cut":
         return Cut(_parse_cut_fields(ln, fields)), fp
     if kind == "glue":
@@ -258,7 +268,7 @@ def parse_move_record(ln: int, content: str) -> tuple[Move, str]:
         spec = _parse_cut_fields(ln, fields)
         return CutGlue(spec, GlueSpec(spec.cut_color, _parse_pair(ln, fields["w"]))), fp
     if kind == "interchange":
-        for key in ("seam", "u'", "v'"):
+        for key in _FIELDS["interchange"]:
             if key not in fields:
                 raise FormatError(ln, f"interchange record missing {key!r}")
         edges = _parse_seam_edges(ln, fields["seam"])
@@ -410,8 +420,8 @@ def _parse_block(blocks, last_ln: int):
             parts = content.split()
             if len(parts) < 3 or parts[-2] != "->":
                 raise FormatError(ln, "compose record must end with '-> <fingerprint>'")
-            fields = _parse_fields(ln, parts[1:-2])
-            for key in ("left", "right", "seam", "weld"):
+            fields = _parse_fields(ln, kind, parts[1:-2])
+            for key in _FIELDS["compose"]:
                 if key not in fields:
                     raise FormatError(ln, f"compose record missing field {key!r}")
             left_fp, left = yield _parse_block(blocks, last_ln)

@@ -20,6 +20,7 @@ from .core import (
     Seam,
     ValidationError,
     _seam_from_triple,
+    _summands,
     are_isomorphic,
     bicolored_cycles,
     connected_sum,
@@ -296,8 +297,9 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     """Re-check a certificate end to end; returns the verified conclusion.
 
     Leaf traces are replayed, isomorphism witnesses re-checked edge by
-    edge, seams re-derived via extract_summands, and every recombined
-    graph rebuilt with the type rule enforced.
+    edge, every compose seam re-derived from its edge triple before its
+    summands are built, and every recombined graph rebuilt with the type
+    rule enforced.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
@@ -319,7 +321,7 @@ def _verify_node(g: ColoredGraph, node: Cert):
             seam = _seam_from_triple(g, node.seam_edges)
             if seam is None:
                 raise CertificateError(f"recorded edge triple {node.seam_edges} is not a seam")
-            g1, _, g2, _ = extract_summands(g, seam)
+            g1, _, g2, _ = _summands(g, seam)
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
             try:
@@ -351,29 +353,6 @@ def _iso_cert(g: ColoredGraph, form: CanonicalForm) -> IsoCert:
 
 
 # ============================================================
-# Standard labelings along the {0,1}-Hamiltonian cycle
-# ============================================================
-
-
-def _standard_labelings(g: ColoredGraph):
-    """All relabelings v_1..v_n of the {0,1}-cycle in standard position.
-
-    Yields lists lab with lab[k] = the vertex at position k (lab[0]
-    unused), such that lab[2i-1]lab[2i] is always a color-0 edge.  There
-    are n of them: n/2 rotations in each direction.
-    """
-    cycles = bicolored_cycles(g, 0, 1).cycles
-    if len(cycles) != 1:
-        raise ReductionError("standard labeling requires a Hamiltonian {0,1}-cycle")
-    cyc = cycles[0]
-    n = len(cyc)
-    for off in range(0, n, 2):
-        yield [0] + [cyc[(off + k) % n] for k in range(n)]
-    for off in range(1, n, 2):
-        yield [0] + [cyc[(off - k) % n] for k in range(n)]
-
-
-# ============================================================
 # Splitting off a torus block (bipartite) or a K4 block (non-bipartite)
 # ============================================================
 
@@ -393,13 +372,16 @@ class SplitOff:
 def _choose_anchor(g: ColoredGraph, bipartite: bool):
     """Check a split's preconditions, then choose its labeling deterministically.
 
-    Scans all standard labelings; in each, v1's color-2 partner sits at
-    position j, which must be even for the torus split and odd for the K4
-    split (labelings with the other parity are skipped).  The crossing
-    color-2 edge (v_s, v_t) with t > j is taken with smallest s then t,
-    where s runs over the odd positions in [3, j-1] for the torus split and
-    over [2, j-1] for the K4 split.  The labeling minimizing (j, s, t) wins,
-    first found on ties.  Returns (labeling, j, s, t).
+    A standard labeling v_1..v_n reads the {0,1}-cycle ``cyc`` forwards from
+    an even index ``off`` or backwards from an odd one, so each v_{2i-1}v_{2i}
+    is a color-0 edge and cyc[k] sits at position d*(k-off) % n + 1, d = 1 or -1.
+    Even offsets are scanned first, then odd ones.  In each labeling v1's
+    color-2 partner sits at position j, which must be even for the torus
+    split and odd for the K4 split.  The crossing color-2 edge (v_s, v_t)
+    with t > j is taken with smallest s then t, s running over the odd
+    positions in [3, j-1] for the torus split and over [2, j-1] for the K4
+    split.  The least (j, s, t) wins, first found on ties, and only its
+    labeling is built.  Returns (labeling, j, s, t); labeling[k] is v_k.
     """
     if not is_contracted(g):
         raise ReductionError("split requires a contracted graph")
@@ -411,24 +393,28 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool):
         raise ReductionError(f"bipartite split requires n = 4q+2 with q >= 2, got {n}")
     if not bipartite and n < 6:
         raise ReductionError(f"non-bipartite split requires n >= 6, got {n}")
+    cyc = bicolored_cycles(g, 0, 1).cycles[0]
+    at = {v: k for k, v in enumerate(cyc)}
+    partner = [at[g.matchings[2][v]] for v in cyc]  # cycle index of cyc[k]'s partner
     best = None
-    for lab in _standard_labelings(g):
-        pos = {lab[k]: k for k in range(1, n + 1)}
-        j = pos[g.matchings[2][lab[1]]]
+    for off in (*range(0, n, 2), *range(1, n, 2)):
+        d = -1 if off % 2 else 1
+        j = d * (partner[off] - off) % n + 1
         if (j % 2 == 0) != bipartite:
             continue
-        s_range = range(3, j, 2) if bipartite else range(2, j)
-        hit = next(((s, t) for s in s_range
-                    if (t := pos[g.matchings[2][lab[s]]]) > j), None)
-        if hit is None:
+        for s in range(3, j, 2) if bipartite else range(2, j):
+            t = d * (partner[(off + d * (s - 1)) % n] - off) % n + 1
+            if t > j:
+                break
+        else:
             raise ReductionError(
                 "internal: no crossing color-2 edge; contradicts Hamiltonicity")
-        if best is None or (j, *hit) < best[0]:
-            best = ((j, *hit), lab)
+        if best is None or (j, s, t) < best[0]:
+            best = ((j, s, t), off, d)
     if best is None:
         raise ReductionError("internal: no color-2 edge from v1 of the required parity")
-    (j, s, t), lab = best
-    return lab, j, s, t
+    (j, s, t), off, d = best
+    return [0] + [cyc[(off + d * k) % n] for k in range(n)], j, s, t
 
 
 def _summands_at(g: ColoredGraph, side: frozenset[int]):
@@ -439,7 +425,7 @@ def _summands_at(g: ColoredGraph, side: frozenset[int]):
     then the apex.
     """
     seam = seam_from_side(g, side)
-    s_a, _, s_b, _ = extract_summands(g, seam)
+    s_a, _, s_b, _ = _summands(g, seam)
     if seam.side_a == side:
         return seam, s_a, s_b, True
     return seam, s_b, s_a, False

@@ -1,13 +1,16 @@
-"""The benchmark harness runs against this source tree.
+"""The benchmark harness and the reduce sweep run against this source tree.
 
 The harness looks up package functions by name, so a rename in ``src/``
 shows up here as a failed run.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import gemsurf as gs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,3 +24,15 @@ def test_enum_workload_with_traced_round():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_sweep_reduce_at_one_size():
+    proc = subprocess.run(
+        [sys.executable, "scripts/sweep_reduce.py", "66"], cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    points = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(p["n"], p["bipartite"]) for p in points] == [(66, True), (66, False)]
+    for p in points:
+        assert p["form"] == str(gs.canonical_of(p["n"], p["bipartite"]))

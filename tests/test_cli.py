@@ -223,6 +223,26 @@ def test_verify_edge_spelled_high_low_is_format_error(tmp_path, capsys, kind):
     assert re.search(r"line \d+: edge endpoints must satisfy u < v", err)
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("cutglue", "arc=999"), ("cutglue", "zzz=1"), ("compose", "left=999"), ("compose", "zzz=1")],
+    ids=["trace-repeated", "trace-unknown", "compose-repeated", "compose-unknown"])
+def test_verify_repeated_or_unknown_field_is_format_error(tmp_path, capsys, kind, extra):
+    """A field given twice, or one the record kind does not define, is refused at
+    its line, even where the record would otherwise verify."""
+    g = gs.make_T(2)
+    if kind == "cutglue":
+        text = fileio.write_trace(gs.split_off_T1(g).trace)
+    else:
+        text = fileio.write_certificate(g, gs.reduce(g)[1])
+    gf = write(tmp_path, "t2.gem", fileio.write_graph(g))
+    assert main(["verify", gf, write(tmp_path, "good.trace", text)]) == 0
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
+    lines[i] = lines[i].replace(" ", f" {extra} ", 1)
+    capsys.readouterr()
+    assert main(["verify", gf, write(tmp_path, "bad.trace", "\n".join(lines) + "\n")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line {i + 1}: ")
+
 @pytest.mark.parametrize("token", ["P\u00b2", "T" + "5" * 5000],
                          ids=["superscript-digit", "5000-digits"])
 def test_verify_bad_form_index_is_format_error(tmp_path, capsys, token):

@@ -11,6 +11,7 @@ import random
 import pytest
 
 import gemsurf as gs
+from gemsurf.core import _seam_from_triple, connected_components
 from gemsurf.moves import enumerate_cut_specs
 
 nx = pytest.importorskip("networkx")
@@ -81,3 +82,103 @@ def test_disjoint_unions_and_relabellings():
               for _ in range(40)]
     assert not any(gs.is_connected(g) for g in unions)
     assert_fingerprints_match_networkx(unions + [relabelled(g, rng) for g in unions])
+
+
+# ============================================================
+# seams and components against a reference and networkx
+# ============================================================
+
+
+def components_without(g, removed):
+    """Components of g once the (color, u, v) records in ``removed``, u < v,
+    are taken out: the removed_edges mode connected_components used to have."""
+    seen, comps = set(), []
+    for start in range(1, g.n + 1):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            for c in gs.COLORS:
+                v = g.matchings[c][u]
+                if (c, min(u, v), max(u, v)) not in removed and v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def reference_seam(g, triple):
+    """The seam as the components of g minus the triple, as it was derived
+    before ``_seam_from_triple`` walked its two sides."""
+    comps = components_without(g, frozenset((c, u, v) for c, (u, v) in zip(gs.COLORS, triple)))
+    if len(comps) != 2:
+        return None
+    a, b = comps if 1 in comps[0] else (comps[1], comps[0])
+    if any((u in a) == (v in a) for (u, v) in triple):
+        return None
+    if len(a) == 1 and len(b) == 1:
+        return None
+    return gs.Seam(tuple(triple), a, b, proper=len(a) >= 2 and len(b) >= 2)
+
+
+def random_triples(g, rng, k):
+    """k triples whose entries are g's edges, edges spelled v-u, pairs with one
+    end in vertex 1's component and one outside, or pairs naming no vertex."""
+    comps = sorted(nx.connected_components(to_networkx(g)), key=min)
+    first, rest = sorted(comps[0]), sorted(set(range(1, g.n + 1)) - comps[0])
+
+    def entry(c):
+        u, v = rng.choice(g.edges_of_color(c))
+        kind = rng.randrange(10)
+        if kind < 5:
+            return u, v
+        if kind < 7:
+            return v, u
+        if kind < 9 and rest:
+            return tuple(sorted((rng.choice(first), rng.choice(rest))))
+        return rng.choice(((0, u), (u, g.n + 1), (u, u)))
+
+    return [tuple(entry(c) for c in gs.COLORS) for _ in range(k)]
+
+
+def seam_inputs():
+    """Catalog classes at n <= 10, seeded relabelled sums of them, and the
+    disjoint unions of test_disjoint_unions_and_relabellings."""
+    rng = random.Random(10)
+    classes = [e.graph for n in (2, 4, 6) for e in gs.enumerate_contracted(n).classes]
+    unions = [disjoint_union(*(rng.choice(classes) for _ in range(rng.choice((2, 3)))))
+              for _ in range(40)]
+    rng = random.Random(13)
+    catalog = [e.graph for n in range(4, 11, 2) for e in gs.enumerate_contracted(n).classes]
+    sums = []
+    for _ in range(20):
+        a, b = rng.choice(catalog[:7]), rng.choice(catalog[:7])
+        sums.append(relabelled(gs.connected_sum(a, rng.randint(1, a.n), b, rng.randint(1, b.n)),
+                               rng))
+    return catalog + sums, unions
+
+
+def test_seam_from_triple_matches_components_minus_triple():
+    rng = random.Random(14)
+    connected, unions = seam_inputs()
+    found = {"proper": 0, "trivial": 0, "disconnected": 0}
+    for g, union in [(g, False) for g in connected] + [(g, True) for g in unions]:
+        triples = random_triples(g, rng, 60)
+        if not union:
+            triples += itertools.product(*(g.edges_of_color(c) for c in gs.COLORS))
+        for triple in triples:
+            seam = _seam_from_triple(g, triple)
+            assert seam == reference_seam(g, triple), (g, triple)
+            if seam is not None:
+                found["disconnected" if union else "proper" if seam.proper else "trivial"] += 1
+    assert all(found.values()), found
+
+
+def test_connected_components_match_networkx():
+    connected, unions = seam_inputs()
+    for g in connected + unions:
+        want = sorted((frozenset(c) for c in nx.connected_components(to_networkx(g))), key=min)
+        assert connected_components(g) == want

@@ -14,9 +14,11 @@ from gemsurf.reduction import (
     form_L,
     form_P,
     form_T,
+    _choose_anchor,
     tp1_seam,
 )
 from gemsurf.surfaces import complex_stats
+from test_golden import random_contracted
 
 
 def chi(g):
@@ -190,6 +192,47 @@ def test_split_p1_preconditions():
         gs.split_off_P1(gs.make_T(2))  # bipartite
     with pytest.raises(ReductionError):
         gs.split_off_P1(gs.make_P1())  # too small
+
+
+def reference_anchor(g, bipartite):
+    """The scan ``_choose_anchor`` replaced: build all n standard labelings and a
+    position map for each, and keep the least (j, s, t), first found on ties."""
+    cyc = gs.bicolored_cycles(g, 0, 1).cycles[0]
+    n = len(cyc)
+    labelings = [[0] + [cyc[(off + k) % n] for k in range(n)] for off in range(0, n, 2)]
+    labelings += [[0] + [cyc[(off - k) % n] for k in range(n)] for off in range(1, n, 2)]
+    best = None
+    for lab in labelings:
+        pos = {lab[k]: k for k in range(1, n + 1)}
+        j = pos[g.matchings[2][lab[1]]]
+        if (j % 2 == 0) != bipartite:
+            continue
+        s_range = range(3, j, 2) if bipartite else range(2, j)
+        s, t = next((s, t) for s in s_range if (t := pos[g.matchings[2][lab[s]]]) > j)
+        if best is None or (j, s, t) < best[0]:
+            best = ((j, s, t), lab)
+    (j, s, t), lab = best
+    return lab, j, s, t
+
+
+def anchor_inputs():
+    """Every catalog class at n <= 12 that a split accepts, and seeded random
+    contracted graphs of both parities up to n = 130."""
+    graphs = [(e.graph, e.bipartite) for n in range(6, 13, 2)
+              for e in enumerate_contracted(n).classes if not e.bipartite or n == 10]
+    rng = random.Random(9)
+    for n in (6, 8, 10, 14, 18, 26, 34, 50, 66, 98, 130):
+        for bipartite in (True, False) if n % 4 == 2 and n >= 10 else (False,):
+            graphs += [(random_contracted(rng, n, bipartite), bipartite) for _ in range(3)]
+    return graphs
+
+
+def test_choose_anchor_matches_every_labeling_scan():
+    graphs = anchor_inputs()
+    assert {bip for _, bip in graphs} == {True, False}
+    for g, bipartite in graphs:
+        assert _choose_anchor(g, bipartite) == reference_anchor(g, bipartite)
+
 
 
 # ============================================================

@@ -178,6 +178,7 @@ def format_move(move: Move, fp: str) -> str:
 
 
 # The keys each record kind defines, all required; a record gives each once.
+# A kind missing here is reported by the caller as an unknown record kind.
 _FIELDS = {"cut": ("c", "ea", "eb", "arc"), "glue": ("c", "w"),
            "cutglue": ("c", "ea", "eb", "arc", "w"), "interchange": ("seam", "u'", "v'"),
            "compose": ("left", "right", "seam", "weld")}

@@ -10,11 +10,11 @@ from gemsurf.catalog import enumerate_contracted
 from gemsurf.reduction import (
     IsoCert,
     TraceCert,
+    _choose_anchor,
     certificate_conclusion,
     form_L,
     form_P,
     form_T,
-    _choose_anchor,
     tp1_seam,
 )
 from gemsurf.surfaces import complex_stats
@@ -232,7 +232,6 @@ def test_choose_anchor_matches_every_labeling_scan():
     assert {bip for _, bip in graphs} == {True, False}
     for g, bipartite in graphs:
         assert _choose_anchor(g, bipartite) == reference_anchor(g, bipartite)
-
 
 
 # ============================================================

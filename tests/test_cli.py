@@ -243,6 +243,7 @@ def test_verify_repeated_or_unknown_field_is_format_error(tmp_path, capsys, kind
     assert main(["verify", gf, write(tmp_path, "bad.trace", "\n".join(lines) + "\n")]) == 3
     assert capsys.readouterr().err.startswith(f"error: line {i + 1}: ")
 
+
 @pytest.mark.parametrize("token", ["P\u00b2", "T" + "5" * 5000],
                          ids=["superscript-digit", "5000-digits"])
 def test_verify_bad_form_index_is_format_error(tmp_path, capsys, token):

@@ -22,11 +22,9 @@ from .core import (
 )
 from .moves import TraceError, fingerprint, verify_trace
 from .reduction import (
+    CanonicalForm,
     CertificateError,
     canonical_of,
-    form_L,
-    form_P,
-    form_T,
     realize,
     reduce as reduce_graph,
     verify_certificate,
@@ -74,14 +72,11 @@ def cmd_info(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    kind = args.family
-    if kind == "L":
-        form = form_L()
-    else:
-        if args.m is None:
-            print("error: P and T need an index m", file=sys.stderr)
-            return 2
-        form = form_P(args.m) if kind == "P" else form_T(args.m)
+    if (args.m is None) != (args.family == "L"):
+        need = "takes no index" if args.family == "L" else "needs an index m"
+        print(f"error: {args.family} {need}", file=sys.stderr)
+        return 2
+    form = CanonicalForm(args.family, args.m or 0)
     _write(args.output, fileio.write_graph(realize(form)))
     print(f"wrote {form} ({form.vertex_count} vertices) to {args.output}")
     return 0

@@ -17,9 +17,14 @@ re-chosen weld pair) and ends every block with a conclude record carrying
 the concluded form and the isomorphism witness.  Sub-certificates follow
 as further trace blocks in pre-order: after a block, the blocks of its
 first compose's left summand (with their own descendants), then the right
-summand's, and so on.  Edge fields ``<color>:<u>-<v>`` need u < v, as in
-graph files.  '#' begins a comment; blank lines are ignored.
-All writers emit fixed orderings, so write-read-write is byte identical.
+summand's, and so on.  '#' begins a comment; blank lines are ignored.
+
+A record gives every field of its kind, in the order of ``_FIELDS``; a seam
+lists its edges by color 0, 1, 2, and an edge field ``<color>:<u>-<v>``
+needs u < v, as in graph files.  Every integer is plain ASCII decimal.  So
+reading a trace or certificate and writing it back reproduces its text,
+once comments and blank lines are dropped and runs of spaces become one; a
+graph file comes back with the same set of edge lines.
 
 Certificate nodes carry the fingerprints their compose records print, so
 ``write_certificate`` only serializes: it fingerprints the input graph
@@ -30,6 +35,8 @@ recursion.
 """
 
 from __future__ import annotations
+
+import re
 
 from .core import COLORS, ColoredGraph, GemError, ValidationError, validate
 from .moves import (
@@ -57,6 +64,13 @@ from .reduction import (
 
 VERSION = "1"
 
+# Every integer in every file is plain ASCII decimal, as the writers print it:
+# no sign, no leading zero, no '_' and no other digit.  Each shape of token
+# that holds integers is built from that one rule, and ``_parse_ints`` reads it.
+_INT = "(0|[1-9][0-9]*)"
+_ONE, _PAIR, _EDGE, _EDGE_LINE, _MAPPING = (re.compile(shape.replace("N", _INT)) for shape in (
+    "N", "N-N", "N:N-N", r"edge\s+N\s+N\s+N", "(?:N-N,)*N-N"))
+
 
 class FormatError(GemError):
     """A parse failure with a 1-based line position."""
@@ -67,11 +81,14 @@ class FormatError(GemError):
         self.message = message
 
 
-def _parse_int(ln: int, text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise FormatError(ln, f"{what} {text!r} is not an integer") from None
+def _parse_ints(ln: int, text: str, shape: re.Pattern, what: str) -> tuple[int, ...]:
+    match = shape.fullmatch(text)
+    if match:
+        try:  # int() refuses more than 4300 digits
+            return tuple(map(int, match.groups()))
+        except ValueError:
+            pass
+    raise FormatError(ln, f"expected {what} in plain decimal, got {text!r}")
 
 
 def _meaningful_lines(text: str):
@@ -105,7 +122,7 @@ def parse_graph(text: str) -> ColoredGraph:
         raise FormatError(ln, f"expected 'gem {VERSION} <n>', got {header!r}")
     if parts[1] != VERSION:
         raise FormatError(ln, f"unsupported format version {parts[1]!r}")
-    n = _parse_int(ln, parts[2], "vertex count")
+    (n,) = _parse_ints(ln, parts[2], _ONE, "the vertex count")
     if n < 2 or n % 2 != 0:
         raise FormatError(ln, f"vertex count must be a positive even integer, got {n}")
     expected = 3 * n // 2
@@ -116,13 +133,7 @@ def parse_graph(text: str) -> ColoredGraph:
         nonlocal ln
         count = 0
         for ln, content in lines[1:]:
-            parts = content.split()
-            if parts[0] != "edge" or len(parts) != 4:
-                raise FormatError(ln, f"expected 'edge <color> <u> <v>', got {content!r}")
-            try:
-                c, u, v = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(ln, f"non-integer field in {content!r}")
+            c, u, v = _parse_ints(ln, content, _EDGE_LINE, "'edge <color> <u> <v>'")
             if count == expected:
                 raise FormatError(ln, f"too many edge lines (expected 3n/2 = {expected})")
             if u > v:
@@ -144,8 +155,51 @@ def parse_graph(text: str) -> ColoredGraph:
 
 
 # ============================================================
-# Move records
+# Records
 # ============================================================
+
+
+# Each record kind's keys, in the order they are printed; all are required.
+# A record reads '<kind> k1=v1 ... kN=vN -> <fingerprint>', except that a
+# conclude record names its form instead, before its field: 'conclude <form> k1=v1'.
+_FIELDS = {"cut": ("c", "ea", "eb", "arc"), "glue": ("c", "w"),
+           "cutglue": ("c", "ea", "eb", "arc", "w"), "interchange": ("seam", "u'", "v'"),
+           "compose": ("left", "right", "seam", "weld"), "conclude": ("map",)}
+
+
+def _template(kind: str, keys: tuple[str, ...]) -> str:
+    """The str.format template of a record: its values, then its fingerprint or form."""
+    fields, last = [f"{key}={{{i}}}" for i, key in enumerate(keys)], f"{{{len(keys)}}}"
+    return " ".join([kind, last, *fields] if kind == "conclude" else [kind, *fields, "->", last])
+
+
+_TEMPLATES = {kind: _template(kind, keys) for kind, keys in _FIELDS.items()}
+
+
+def _parse_record(ln: int, content: str) -> tuple[str, list[str], str]:
+    """Split a record line into (kind, values, fingerprint or form), as ``_template`` lays it out.
+
+    The keys must be exactly the kind's ``_FIELDS``, in that order.
+    """
+    kind, *parts = content.split()
+    keys = _FIELDS.get(kind)
+    if keys is None:
+        raise FormatError(ln, f"unknown record kind {kind!r}")
+    if kind == "conclude":
+        last, fields = (parts[0] if parts else ""), parts[1:]
+    elif len(parts) >= 2 and parts[-2] == "->":
+        last, fields = parts[-1], parts[:-2]
+    else:
+        raise FormatError(ln, f"{kind} record must end with '-> <fingerprint>': {content!r}")
+    values = []
+    for i in range(max(len(keys), len(fields))):
+        key, eq, value = fields[i].partition("=") if i < len(fields) else ("", "", "")
+        if i >= len(keys) or key != keys[i] or not eq:
+            want = f"'{keys[i]}=...'" if i < len(keys) else "the end of the record"
+            got = repr(fields[i]) if i < len(fields) else "none"
+            raise FormatError(ln, f"{kind} record: expected {want} at field {i + 1}, got {got}")
+        values.append(value)
+    return kind, values, last
 
 
 def _fmt_edge(color: int, edge: tuple[int, int]) -> str:
@@ -156,126 +210,65 @@ def _fmt_seam(edges) -> str:
     return ",".join(_fmt_edge(c, edges[c]) for c in COLORS)
 
 
-def _fmt_cut_fields(spec: CutSpec) -> str:
-    a, b = other_colors(spec.cut_color)
-    return (f"c={spec.cut_color} ea={_fmt_edge(a, spec.edge_a)} "
-            f"eb={_fmt_edge(b, spec.edge_b)} arc={spec.arc_vertex}")
-
-
-def format_move(move: Move, fp: str) -> str:
-    if isinstance(move, Cut):
-        return f"cut {_fmt_cut_fields(move.spec)} -> {fp}"
-    if isinstance(move, Glue):
-        s = move.spec
-        return f"glue c={s.cut_color} w={s.pair[0]}-{s.pair[1]} -> {fp}"
-    if isinstance(move, CutGlue):
-        return (f"cutglue {_fmt_cut_fields(move.cut)} "
-                f"w={move.glue.pair[0]}-{move.glue.pair[1]} -> {fp}")
-    if isinstance(move, Interchange):
-        return (f"interchange seam={_fmt_seam(move.seam_edges)} "
-                f"u'={move.u_new} v'={move.v_new} -> {fp}")
-    raise GemError(f"unknown move {move!r}")
-
-
-# The keys each record kind defines, all required; a record gives each once.
-# A kind missing here is reported by the caller as an unknown record kind.
-_FIELDS = {"cut": ("c", "ea", "eb", "arc"), "glue": ("c", "w"),
-           "cutglue": ("c", "ea", "eb", "arc", "w"), "interchange": ("seam", "u'", "v'"),
-           "compose": ("left", "right", "seam", "weld")}
-
-
-def _parse_fields(ln: int, kind: str, parts: list[str]) -> dict[str, str]:
-    fields = {}
-    for part in parts:
-        if "=" not in part:
-            raise FormatError(ln, f"expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        if key in fields:
-            raise FormatError(ln, f"field {key!r} given twice")
-        if kind in _FIELDS and key not in _FIELDS[kind]:
-            raise FormatError(ln, f"{kind} record has no field {key!r}")
-        fields[key] = value
-    return fields
-
-
-def _parse_pair(ln: int, text: str) -> tuple[int, int]:
-    try:
-        u, v = text.split("-")
-        return int(u), int(v)
-    except ValueError:
-        raise FormatError(ln, f"expected <u>-<v>, got {text!r}")
-
-
-def _parse_edge(ln: int, text: str) -> tuple[int, tuple[int, int]]:
-    """Parse ``<color>:<u>-<v>``; like a graph file's edge line, it needs u < v."""
-    color, colon, pair = text.partition(":")
-    if not colon:
-        raise FormatError(ln, f"expected <color>:<u>-<v>, got {text!r}")
-    c = _parse_int(ln, color, "edge color")
-    u, v = _parse_pair(ln, pair)
+def _parse_edge(ln: int, text: str, want: int) -> tuple[int, int]:
+    """Parse ``<want>:<u>-<v>``; like a graph file's edge line, it needs u < v."""
+    c, u, v = _parse_ints(ln, text, _EDGE, "<color>:<u>-<v>")
+    if c != want:
+        raise FormatError(ln, f"edge color {c} inconsistent with its field (expected {want})")
     if u >= v:
         raise FormatError(ln, f"edge endpoints must satisfy u < v, got {u} {v}")
-    return c, (u, v)
+    return u, v
 
 
-def _parse_cut_fields(ln: int, fields: dict[str, str]) -> CutSpec:
-    for key in _FIELDS["cut"]:
-        if key not in fields:
-            raise FormatError(ln, f"cut record missing field {key!r}")
-    c = _parse_int(ln, fields["c"], "cut color")
-    arc = _parse_int(ln, fields["arc"], "arc vertex")
-    if c not in COLORS:
-        raise FormatError(ln, f"bad cut color {c}")
-    edges = {}
-    for key, want in zip(("ea", "eb"), other_colors(c)):
-        color, edges[key] = _parse_edge(ln, fields[key])
-        if color != want:
-            raise FormatError(ln, f"edge color {color} inconsistent with the cut color "
-                                  f"(expected {want})")
-    return CutSpec(c, edges["ea"], edges["eb"], arc)
-
-
-def _parse_seam_edges(ln: int, text: str):
+def _parse_seam(ln: int, text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise FormatError(ln, f"seam needs three edges, got {text!r}")
-    edges = [None, None, None]
-    for part in parts:
-        c, edge = _parse_edge(ln, part)
-        if c not in COLORS or edges[c] is not None:
-            raise FormatError(ln, "seam must list colors 0, 1, 2 once each")
-        edges[c] = edge
-    return tuple(edges)
+    return tuple(_parse_edge(ln, part, c) for c, part in zip(COLORS, parts))
+
+
+def _parse_color(ln: int, text: str) -> int:
+    (c,) = _parse_ints(ln, text, _ONE, "the cut color")
+    if c not in COLORS:
+        raise FormatError(ln, f"bad cut color {c}")
+    return c
+
+
+def format_move(move: Move, fp: str) -> str:
+    if isinstance(move, Glue):
+        s = move.spec
+        return _TEMPLATES["glue"].format(s.cut_color, f"{s.pair[0]}-{s.pair[1]}", fp)
+    if isinstance(move, Interchange):
+        return _TEMPLATES["interchange"].format(_fmt_seam(move.seam_edges), move.u_new,
+                                                move.v_new, fp)
+    if isinstance(move, (Cut, CutGlue)):
+        spec = move.spec if isinstance(move, Cut) else move.cut
+        a, b = other_colors(spec.cut_color)
+        values = [spec.cut_color, _fmt_edge(a, spec.edge_a), _fmt_edge(b, spec.edge_b),
+                  spec.arc_vertex]
+        if isinstance(move, Cut):
+            return _TEMPLATES["cut"].format(*values, fp)
+        return _TEMPLATES["cutglue"].format(*values, f"{move.glue.pair[0]}-{move.glue.pair[1]}", fp)
+    raise GemError(f"unknown move {move!r}")
 
 
 def parse_move_record(ln: int, content: str) -> tuple[Move, str]:
-    parts = content.split()
-    if len(parts) < 3 or parts[-2] != "->":
-        raise FormatError(ln, f"record must end with '-> <fingerprint>': {content!r}")
-    kind, fp = parts[0], parts[-1]
-    fields = _parse_fields(ln, kind, parts[1:-2])
-    if kind == "cut":
-        return Cut(_parse_cut_fields(ln, fields)), fp
+    kind, values, fp = _parse_record(ln, content)
     if kind == "glue":
-        if "c" not in fields or "w" not in fields:
-            raise FormatError(ln, "glue record needs c= and w=")
-        c = _parse_int(ln, fields["c"], "cut color")
-        if c not in COLORS:
-            raise FormatError(ln, f"bad cut color {c}")
-        return Glue(GlueSpec(c, _parse_pair(ln, fields["w"]))), fp
-    if kind == "cutglue":
-        if "w" not in fields:
-            raise FormatError(ln, "cutglue record needs w=")
-        spec = _parse_cut_fields(ln, fields)
-        return CutGlue(spec, GlueSpec(spec.cut_color, _parse_pair(ln, fields["w"]))), fp
+        return Glue(GlueSpec(_parse_color(ln, values[0]),
+                             _parse_ints(ln, values[1], _PAIR, "<u>-<v>"))), fp
     if kind == "interchange":
-        for key in _FIELDS["interchange"]:
-            if key not in fields:
-                raise FormatError(ln, f"interchange record missing {key!r}")
-        edges = _parse_seam_edges(ln, fields["seam"])
-        return Interchange(edges, _parse_int(ln, fields["u'"], "vertex u'"),
-                           _parse_int(ln, fields["v'"], "vertex v'")), fp
-    raise FormatError(ln, f"unknown record kind {kind!r}")
+        (u,), (v,) = (_parse_ints(ln, value, _ONE, "a vertex") for value in values[1:])
+        return Interchange(_parse_seam(ln, values[0]), u, v), fp
+    if kind not in ("cut", "cutglue"):
+        raise FormatError(ln, f"{kind!r} is not a move record")
+    c = _parse_color(ln, values[0])
+    a, b = other_colors(c)
+    (arc,) = _parse_ints(ln, values[3], _ONE, "the arc vertex")
+    spec = CutSpec(c, _parse_edge(ln, values[1], a), _parse_edge(ln, values[2], b), arc)
+    if kind == "cut":
+        return Cut(spec), fp
+    return CutGlue(spec, GlueSpec(c, _parse_ints(ln, values[4], _PAIR, "<u>-<v>"))), fp
 
 
 # ============================================================
@@ -320,15 +313,14 @@ def parse_trace(text: str) -> MoveTrace:
 # ============================================================
 
 
-def _fmt_mapping(mapping) -> str:
-    return ",".join(f"{u}-{v}" for (u, v) in mapping)
-
-
 def _parse_mapping(ln: int, text: str) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for part in text.split(","):
-        pairs.append(_parse_pair(ln, part))
-    return tuple(pairs)
+    if _MAPPING.fullmatch(text):
+        try:  # one pass over the whole list; int() refuses more than 4300 digits
+            ints = map(int, text.replace(",", "-").split("-"))
+            return tuple(zip(ints, ints))
+        except ValueError:
+            pass
+    return tuple(_parse_ints(ln, part, _PAIR, "<u>-<v>") for part in text.split(","))
 
 
 def write_certificate(g: ColoredGraph, cert: ReductionCertificate) -> str:
@@ -347,14 +339,15 @@ def write_certificate(g: ColoredGraph, cert: ReductionCertificate) -> str:
             if isinstance(node, TraceCert):
                 lines.extend(format_move(move, fp) for (move, fp) in node.trace.steps)
             elif isinstance(node, RecombineCert):
-                lines.append(f"compose left={node.left_fp} right={node.right_fp} "
-                             f"seam={_fmt_seam(node.seam_edges)} "
-                             f"weld={node.weld_a}-{node.weld_b} -> {node.fp}")
+                lines.append(_TEMPLATES["compose"].format(
+                    node.left_fp, node.right_fp, _fmt_seam(node.seam_edges),
+                    f"{node.weld_a}-{node.weld_b}", node.fp))
                 summands += [(node.left_fp, node.left), (node.right_fp, node.right)]
             else:
                 raise GemError(f"unknown certificate node {node!r}")
             node = node.rest
-        lines.append(f"conclude {node.form.token()} map={_fmt_mapping(node.mapping)}")
+        mapping = ",".join(f"{u}-{v}" for (u, v) in node.mapping)
+        lines.append(_TEMPLATES["conclude"].format(mapping, node.form.token()))
         blocks.append("\n".join(lines))
         todo.extend(reversed(summands))
     return "\n".join(blocks) + "\n"
@@ -411,43 +404,35 @@ def _parse_block(blocks, last_ln: int):
     run_initial = header_fp
     concluded = False
     for ln, content in block[1:]:
-        kind = content.split()[0]
         if concluded:
             raise FormatError(ln, "records after the conclude record")
-        if kind in ("compose", "conclude") and move_run:
+        kind = content.split(None, 1)[0]
+        if kind not in ("compose", "conclude"):
+            move_run.append(parse_move_record(ln, content))
+            continue
+        if move_run:
             items.append(("trace", MoveTrace(run_initial, tuple(move_run))))
             move_run = []
+        _, values, last = _parse_record(ln, content)
         if kind == "compose":
-            parts = content.split()
-            if len(parts) < 3 or parts[-2] != "->":
-                raise FormatError(ln, "compose record must end with '-> <fingerprint>'")
-            fields = _parse_fields(ln, kind, parts[1:-2])
-            for key in _FIELDS["compose"]:
-                if key not in fields:
-                    raise FormatError(ln, f"compose record missing field {key!r}")
+            edges = _parse_seam(ln, values[2])
+            weld_a, weld_b = _parse_ints(ln, values[3], _PAIR, "<u>-<v>")
             left_fp, left = yield _parse_block(blocks, last_ln)
-            if fields["left"] != left_fp:
+            if values[0] != left_fp:
                 raise FormatError(ln, "left fingerprint does not match its trace block")
             right_fp, right = yield _parse_block(blocks, last_ln)
-            if fields["right"] != right_fp:
+            if values[1] != right_fp:
                 raise FormatError(ln, "right fingerprint does not match its trace block")
-            edges = _parse_seam_edges(ln, fields["seam"])
-            weld_a, weld_b = _parse_pair(ln, fields["weld"])
-            run_initial = parts[-1]
+            run_initial = last
             items.append(("compose", (edges, left, right, weld_a, weld_b),
                           (left_fp, right_fp, run_initial)))
-        elif kind == "conclude":
-            parts = content.split()
-            if len(parts) != 3 or not parts[2].startswith("map="):
-                raise FormatError(ln, "expected 'conclude <form> map=<pairs>'")
+        else:
             try:
-                form = parse_form_token(parts[1])
+                form = parse_form_token(last)
             except GemError as exc:
                 raise FormatError(ln, str(exc))
-            items.append(("conclude", form, _parse_mapping(ln, parts[2][4:])))
+            items.append(("conclude", form, _parse_mapping(ln, values[0])))
             concluded = True
-        else:
-            move_run.append(parse_move_record(ln, content))
     if not concluded:
         raise FormatError(block[-1][0], "certificate block lacks a conclude record")
 

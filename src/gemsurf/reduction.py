@@ -102,14 +102,16 @@ def form_T(m: int) -> CanonicalForm:
 
 
 def parse_form_token(tok: str) -> CanonicalForm:
+    """The form whose ``token()`` is ``tok``: its index is plain decimal, as printed."""
     if tok == "L":
         return form_L()
-    digits = tok[1:]
-    if tok[:1] in ("P", "T") and digits.isascii() and digits.isdigit():
+    if tok[:1] in ("P", "T"):
         try:  # int() refuses more than 4300 digits
-            return CanonicalForm(tok[0], int(digits))
+            m = int(tok[1:])
         except ValueError:
-            pass
+            m = 0
+        if m > 0 and tok == f"{tok[0]}{m}":
+            return CanonicalForm(tok[0], m)
     raise ReductionError(f"bad form token {tok!r}")
 
 

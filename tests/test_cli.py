@@ -7,6 +7,10 @@ from gemsurf import fileio
 from gemsurf.cli import main
 
 
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -63,6 +67,13 @@ def test_gen_and_info(tmp_path, capsys):
 
 def test_gen_requires_index(tmp_path, capsys):
     assert main(["gen", "P", "-o", str(tmp_path / "x.gem")]) == 2
+
+
+def test_gen_l_takes_no_index(tmp_path, capsys):
+    out = tmp_path / "l.gem"
+    assert main(["gen", "L", "5", "-o", str(out)]) == 2
+    assert "L takes no index" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_enum_summary_and_files(tmp_path, capsys):
@@ -188,6 +199,9 @@ def test_apply_rejects_certificate(tmp_path, capsys):
 
 @pytest.mark.parametrize("record", [
     "glue c=x w=1-2 -> fp",
+    "glue c=+1 w=1-2 -> fp",
+    "glue c=1 w=01-2 -> fp",
+    "interchange seam=0:1-4,1:2-5,2:3-6 u'=\u0662 v'=1 -> fp",
     "interchange seam=0:1-4,1:2-5,2:3-6 u'=a v'=1 -> fp",
     "interchange seam=0:1-4,1:2-5,2:3-6 u'=1 v'=b -> fp",
 ])
@@ -197,18 +211,28 @@ def test_verify_malformed_trace_field_is_format_error(tmp_path, capsys, record):
     assert "line 2:" in capsys.readouterr().err
 
 
-def _edge_swapped_proof(kind):
-    """A valid T(2) trace or certificate with its first ``kind`` edge spelled v-u."""
+def _t2_proof(kind):
+    """T(2) and a valid trace or certificate of it that holds a ``kind`` record."""
     g = gs.make_T(2)
     if kind == "cutglue":
-        text, field = fileio.write_trace(gs.split_off_T1(g).trace), "ea"
-    elif kind == "interchange":
+        return g, fileio.write_trace(gs.split_off_T1(g).trace)
+    if kind == "glue":
+        ms, n = g.matchings, g.n
+        far = ms[1][ms[0][ms[1][ms[0][1]]]]
+        cut = gs.Cut(gs.cut_spec(2, (1, ms[0][1]), (far, ms[1][far])))
+        glue = gs.Glue(gs.moves.GlueSpec(2, (n + 1, n + 2)))
+        return g, fileio.write_trace(gs.record_trace(g, [cut, glue])[0])
+    if kind == "interchange":
         seam = next(s for s in gs.find_seams(g) if s.proper)
         _, a1, _, a2 = gs.extract_summands(g, seam)
-        trace, _ = gs.record_trace(g, [gs.Interchange(seam.edges, a1, a2)])
-        text, field = fileio.write_trace(trace), "seam"
-    else:
-        text, field = fileio.write_certificate(g, gs.reduce(g)[1]), "seam"
+        return g, fileio.write_trace(gs.record_trace(g, [gs.Interchange(seam.edges, a1, a2)])[0])
+    return g, fileio.write_certificate(g, gs.reduce(g)[1])
+
+
+def _edge_swapped_proof(kind):
+    """A valid T(2) trace or certificate with its first ``kind`` edge spelled v-u."""
+    g, text = _t2_proof(kind)
+    field = "ea" if kind == "cutglue" else "seam"
     swapped = re.sub(rf"({field}=\d+):(\d+)-(\d+)", r"\1:\3-\2", text, count=1)
     assert swapped != text
     return g, swapped
@@ -223,29 +247,61 @@ def test_verify_edge_spelled_high_low_is_format_error(tmp_path, capsys, kind):
     assert re.search(r"line \d+: edge endpoints must satisfy u < v", err)
 
 
-@pytest.mark.parametrize("kind, extra", [
-    ("cutglue", "arc=999"), ("cutglue", "zzz=1"), ("compose", "left=999"), ("compose", "zzz=1")],
-    ids=["trace-repeated", "trace-unknown", "compose-repeated", "compose-unknown"])
-def test_verify_repeated_or_unknown_field_is_format_error(tmp_path, capsys, kind, extra):
-    """A field given twice, or one the record kind does not define, is refused at
-    its line, even where the record would otherwise verify."""
-    g = gs.make_T(2)
-    if kind == "cutglue":
-        text = fileio.write_trace(gs.split_off_T1(g).trace)
-    else:
-        text = fileio.write_certificate(g, gs.reduce(g)[1])
+def _drop(key):
+    return lambda tokens: [t for t in tokens if not t.startswith(key + "=")]
+
+
+def _swap(a, b):
+    return lambda tokens: [tokens[b] if k == a else tokens[a] if k == b else t
+                           for k, t in enumerate(tokens)]
+
+
+def _respell(key, spell):
+    return lambda tokens: [f"{key}={spell(t[len(key) + 1:])}" if t.startswith(key + "=") else t
+                           for t in tokens]
+
+
+@pytest.mark.parametrize("kind, edit, needle", [
+    ("cutglue", lambda t: t[:1] + ["arc=999"] + t[1:], "cutglue record: expected 'c="),
+    ("cutglue", lambda t: t[:1] + ["zzz=1"] + t[1:], "cutglue record: expected 'c="),
+    ("compose", lambda t: t[:1] + ["left=999"] + t[1:], "compose record: expected 'right="),
+    ("compose", lambda t: t[:1] + ["zzz=1"] + t[1:], "compose record: expected 'left="),
+    ("cutglue", _drop("c"), "cutglue record: expected 'c="),
+    ("glue", _drop("w"), "glue record: expected 'w="),
+    ("interchange", _drop("seam"), "interchange record: expected 'seam="),
+    ("compose", _drop("weld"), "compose record: expected 'weld="),
+    ("cutglue", _swap(1, 2), "cutglue record: expected 'c="),
+    ("compose", _swap(3, 4), "compose record: expected 'seam="),
+    ("cutglue", _respell("arc", lambda v: "+" + v), "plain decimal"),
+    ("cutglue", _respell("eb", lambda v: v.translate(ARABIC_INDIC)), "plain decimal"),
+    ("compose", _respell("weld", lambda v: "0" + v), "plain decimal"),
+    ("compose", _respell("seam", lambda v: ",".join(v.split(",")[::-1])), "inconsistent"),
+    ("conclude", _respell("map", lambda v: "0" + v), "plain decimal"),
+    ("conclude", lambda t: [t[0], t[1][0] + "0" + t[1][1:], *t[2:]], "bad form token"),
+], ids=["trace-repeated", "trace-unknown", "compose-repeated", "compose-unknown",
+        "cutglue-without-c", "glue-without-w", "interchange-without-seam", "compose-without-weld",
+        "cutglue-swapped", "compose-swapped", "arc-plus-sign", "eb-arabic-indic-digits",
+        "weld-leading-zero", "seam-reordered", "map-leading-zero", "conclude-leading-zero"])
+def test_verify_repeated_or_unknown_field_is_format_error(tmp_path, capsys, kind, edit, needle):
+    """A field given twice, one the record kind does not define, a missing one,
+    two out of order, an integer not in plain decimal or a seam out of color
+    order is refused at its line, even where the record would otherwise
+    verify: a field fault names the kind and the key expected there."""
+    g, text = _t2_proof(kind)
     gf = write(tmp_path, "t2.gem", fileio.write_graph(g))
     assert main(["verify", gf, write(tmp_path, "good.trace", text)]) == 0
     lines = text.splitlines()
     i = next(i for i, line in enumerate(lines) if line.startswith(kind + " "))
-    lines[i] = lines[i].replace(" ", f" {extra} ", 1)
+    lines[i] = " ".join(edit(lines[i].split(" ")))
     capsys.readouterr()
     assert main(["verify", gf, write(tmp_path, "bad.trace", "\n".join(lines) + "\n")]) == 3
-    assert capsys.readouterr().err.startswith(f"error: line {i + 1}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {i + 1}: ") and needle in err
 
 
-@pytest.mark.parametrize("token", ["P\u00b2", "T" + "5" * 5000],
-                         ids=["superscript-digit", "5000-digits"])
+@pytest.mark.parametrize("token", ["P\u00b2", "T" + "5" * 5000, "T02", "P+1", "T\u0662"],
+                         ids=["superscript-digit", "5000-digits", "leading-zero", "plus-sign",
+                              "arabic-indic-digit"])
 def test_verify_bad_form_index_is_format_error(tmp_path, capsys, token):
     cf = write(tmp_path, "bad.cert", f"trace 1 fp\nconclude {token} map=1-1\n")
     assert main(["verify", t1_file(tmp_path), cf]) == 3

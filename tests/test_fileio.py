@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import re
 import time
@@ -40,6 +41,10 @@ def test_graph_comments_and_blanks():
 
 @pytest.mark.parametrize("text, line, needle", [
     ("", 1, "empty"),
+    ("gem 1 02\n", 1, "plain decimal"),
+    ("gem 1 2\nedge 0 +1 2\nedge 1 1 2\nedge 2 1 2\n", 2, "plain decimal"),
+    ("gem 1 2\nedge 0 1 2\nedge 01 1 2\nedge 2 1 2\n", 3, "plain decimal"),
+    ("gem 1 2\nedge 0 1 2\nedge 1 1 2\nedge \u0662 1 2\n", 4, "plain decimal"),
     ("gem 2 2\n", 1, "version"),
     ("gem 1 3\n", 1, "even"),
     ("gem 1 2\nedge 0 1 1\nedge 1 1 2\nedge 2 1 2\n", 2, "loop"),
@@ -228,9 +233,10 @@ JUNK = ("-1", "99999", "\u00b2", "P0", "")
 
 @functools.cache
 def _mutation_inputs():
-    """(name, lines, check) for the graph file, a cut-and-glue trace, an
-    interchange trace and the reduced certificate of a few small sums with
-    mixed blocks; ``check`` runs the text of a possibly mutated copy."""
+    """(name, lines, check, write_back) for the graph file, a cut-and-glue
+    trace, an interchange trace and the reduced certificate of a few small
+    sums with mixed blocks; ``check`` runs the text of a possibly mutated
+    copy, and ``write_back`` parses it and writes it out again."""
     sums = ((gs.make_P1(), 3, gs.make_T(2), 9),
             (gs.make_T(2), 7, gs.make_P(2), 2),
             (gs.make_P(2), 1, gs.make_T(1), 1))
@@ -247,20 +253,23 @@ def _mutation_inputs():
         seam = seam_from_side(g, frozenset(range(1, a.n)))
         swap = gs.Interchange(seam.edges, 1, 1)
         cases.append((f"graph{k}", fileio.write_graph(g),
-                      lambda text, cert=cert: gs.verify_certificate(fileio.parse_graph(text), cert)))
+                      lambda text, cert=cert: gs.verify_certificate(fileio.parse_graph(text), cert),
+                      lambda text: fileio.write_graph(fileio.parse_graph(text))))
         for name, moves in (("glue", [cut, glue]), ("interchange", [swap])):
             text = fileio.write_trace(gs.record_trace(g, moves)[0])
             cases.append((f"{name}{k}", text,
-                          lambda text, g=g: gs.verify_trace(g, fileio.parse_trace(text))))
+                          lambda text, g=g: gs.verify_trace(g, fileio.parse_trace(text)),
+                          lambda text: fileio.write_trace(fileio.parse_trace(text))))
         cases.append((f"cert{k}", fileio.write_certificate(g, cert),
-                      lambda text, g=g: gs.verify_certificate(g, fileio.parse_certificate(text))))
-    return [(name, tuple(text.splitlines()), check) for name, text, check in cases]
+                      lambda text, g=g: gs.verify_certificate(g, fileio.parse_certificate(text)),
+                      lambda text, g=g: fileio.write_certificate(g, fileio.parse_certificate(text))))
+    return [(name, tuple(text.splitlines()), *funcs) for name, text, *funcs in cases]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.data())
 def test_mutated_certificate_raises_only_gem_errors(data):
-    _, lines, check = data.draw(st.sampled_from(_mutation_inputs()))
+    _, lines, check, _ = data.draw(st.sampled_from(_mutation_inputs()))
     lines = list(lines)
     i = data.draw(st.integers(0, len(lines) - 1))
     op = data.draw(st.sampled_from(["token", "field", "reverse", "delete", "duplicate", "swap"]))
@@ -293,6 +302,68 @@ def test_mutated_certificate_raises_only_gem_errors(data):
     except gs.GemError:
         pass
     assert time.perf_counter() - start < 1.0
+
+
+def _integer_spots(lines):
+    """(line, token, match) for every digit run outside a fingerprint token:
+    the header's third token, left= and right= values, and the token after '->'."""
+    spots = []
+    for i, line in enumerate(lines):
+        tokens = line.split(" ")
+        for k, token in enumerate(tokens):
+            if ((tokens[0] == "trace" and k == 2) or (k and tokens[k - 1] == "->")
+                    or token.startswith(("left=", "right="))):
+                continue
+            spots += [(i, k, m) for m in re.finditer("[0-9]+", token)]
+    return spots
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutant_parses_only_as_written(data):
+    """Respell one integer (+7, 07, 0_7, Arabic-Indic digits), swap two fields
+    of one line or reorder a seam's edges: the mutant is refused, or it is
+    written back as it reads, once runs of spaces are one (a graph file as
+    the same set of lines)."""
+    name, lines, _, write_back = data.draw(st.sampled_from(_mutation_inputs()))
+    lines = list(lines)
+    seams = [(i, k) for i, line in enumerate(lines)
+             for k, token in enumerate(line.split(" ")) if token.startswith("seam=")]
+    op = data.draw(st.sampled_from(["respell", "swap", "seam"] if seams else ["respell", "swap"]))
+    if op == "respell":
+        i, k, m = data.draw(st.sampled_from(_integer_spots(lines)))
+        digits = m.group()
+        new = data.draw(st.sampled_from(
+            ["+" + digits, "0" + digits, "0_" + digits, digits.translate(ARABIC_INDIC)]))
+        tokens = lines[i].split(" ")
+        tokens[k] = tokens[k][:m.start()] + new + tokens[k][m.end():]
+    elif op == "swap":
+        i = data.draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        a, b = data.draw(st.lists(st.integers(0, len(tokens) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+    else:
+        i, k = data.draw(st.sampled_from(seams))
+        tokens = lines[i].split(" ")
+        key, _, edges = tokens[k].partition("=")
+        order = data.draw(st.sampled_from([p for p in itertools.permutations(range(3))
+                                           if p != (0, 1, 2)]))
+        tokens[k] = key + "=" + ",".join(edges.split(",")[j] for j in order)
+    lines[i] = " ".join(tokens)
+    try:
+        back = write_back("\n".join(lines) + "\n").splitlines()
+    except gs.GemError:
+        return
+    want = [" ".join(line.split()) for line in lines]
+    if name.startswith("graph"):
+        assert sorted(back) == sorted(want)
+    else:
+        assert back == want
 
 
 # ============================================================

@@ -11,7 +11,8 @@ import random
 import pytest
 
 import gemsurf as gs
-from gemsurf.core import _seam_from_triple, connected_components
+from gemsurf.catalog import _standard_cycle_matchings
+from gemsurf.core import _seam_from_triple, connected_components, graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
 
 nx = pytest.importorskip("networkx")
@@ -82,6 +83,36 @@ def test_disjoint_unions_and_relabellings():
               for _ in range(40)]
     assert not any(gs.is_connected(g) for g in unions)
     assert_fingerprints_match_networkx(unions + [relabelled(g, rng) for g in unions])
+
+
+@pytest.mark.slow
+def test_catalog_n12_partition_matches_networkx():
+    """The 125 classes at n=12 are pairwise non-isomorphic, and seeded raw
+    contracted involutions each match exactly one class, their fingerprint's.
+    Every vertex has one edge of each color, so Weisfeiler-Lehman hashes
+    cannot tell the classes apart; this runs VF2 on every pair."""
+    entries = gs.enumerate_contracted(12).classes
+    classes = [to_networkx(e.graph) for e in entries]
+    assert len(classes) == 125
+    for a, b in itertools.combinations(classes, 2):
+        assert not nx.is_isomorphic(a, b, edge_match=SAME_COLORS)
+    rng = random.Random(12)
+    m0, m1 = _standard_cycle_matchings(12)
+    hits = 0
+    while hits < 20:
+        vertices = list(range(1, 13))
+        rng.shuffle(vertices)
+        m2 = [0] * 13
+        for u, v in zip(vertices[::2], vertices[1::2]):
+            m2[u], m2[v] = v, u
+        g = graph_from_matchings(12, m0, m1, m2)
+        if not gs.is_contracted(g):
+            continue
+        h = to_networkx(g)
+        matches = [k for k, c in enumerate(classes) if nx.is_isomorphic(h, c, edge_match=SAME_COLORS)]
+        assert len(matches) == 1
+        assert entries[matches[0]].fingerprint == gs.fingerprint(g)
+        hits += 1
 
 
 # ============================================================

@@ -67,9 +67,10 @@ VERSION = "1"
 # Every integer in every file is plain ASCII decimal, as the writers print it:
 # no sign, no leading zero, no '_' and no other digit.  Each shape of token
 # that holds integers is built from that one rule, and ``_parse_ints`` reads it.
-_INT = "(0|[1-9][0-9]*)"
-_ONE, _PAIR, _EDGE, _EDGE_LINE, _MAPPING = (re.compile(shape.replace("N", _INT)) for shape in (
-    "N", "N-N", "N:N-N", r"edge\s+N\s+N\s+N", "(?:N-N,)*N-N"))
+_INT = "0|[1-9][0-9]*"
+_ONE, _PAIR, _EDGE, _EDGE_LINE = (re.compile(shape.replace("N", f"({_INT})")) for shape in (
+    "N", "N-N", "N:N-N", r"edge\s+N\s+N\s+N"))
+_MAPPING = re.compile("(?:N-N,)*N-N".replace("N", f"(?:{_INT})"))  # checked whole, not captured
 
 
 class FormatError(GemError):

@@ -76,6 +76,9 @@ def cmd_gen(args) -> int:
         need = "takes no index" if args.family == "L" else "needs an index m"
         print(f"error: {args.family} {need}", file=sys.stderr)
         return 2
+    if args.m is not None and args.m < 1:
+        print(f"error: {args.family} requires index m >= 1", file=sys.stderr)
+        return 2
     form = CanonicalForm(args.family, args.m or 0)
     _write(args.output, fileio.write_graph(realize(form)))
     print(f"wrote {form} ({form.vertex_count} vertices) to {args.output}")

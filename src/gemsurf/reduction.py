@@ -25,7 +25,6 @@ from .core import (
     bicolored_cycles,
     connected_sum,
     extract_summands,
-    find_seams,
     graph_from_matchings,
     graph_from_pairs,
     is_bipartite,
@@ -361,7 +360,8 @@ def _iso_cert(g: ColoredGraph, form: CanonicalForm) -> IsoCert:
 
 @dataclass(frozen=True)
 class SplitOff:
-    """Outcome of a split: a verified trace plus the seam decomposition."""
+    """Outcome of a split: a verified trace, the seam decomposition and
+    ``piece_cert``, the one witness that ``piece`` is T(1) or P(1)."""
 
     trace: MoveTrace
     final: ColoredGraph
@@ -369,6 +369,7 @@ class SplitOff:
     piece: ColoredGraph
     piece_is_side_a: bool
     remainder: ColoredGraph
+    piece_cert: IsoCert
 
 
 def _choose_anchor(g: ColoredGraph, bipartite: bool):
@@ -439,9 +440,8 @@ def _detach(g: ColoredGraph, steps, block: frozenset[int], form: CanonicalForm) 
     trace = MoveTrace(fingerprint(g), tuple((move, fingerprint(h)) for move, h in steps))
     final = steps[-1][1]
     seam, piece, remainder, piece_is_side_a = _summands_at(final, block)
-    if are_isomorphic(piece, realize(form)) is None:
-        raise ReductionError(f"internal: detached block is not {form}")
-    return SplitOff(trace, final, seam, piece, piece_is_side_a, remainder)
+    return SplitOff(trace, final, seam, piece, piece_is_side_a, remainder,
+                    _iso_cert(piece, form))
 
 
 def split_off_T1(g: ColoredGraph) -> SplitOff:
@@ -504,20 +504,6 @@ def split_off_P1(g: ColoredGraph) -> SplitOff:
 # ============================================================
 
 
-def tp1_seam(g: ColoredGraph) -> Seam:
-    """A proper seam decomposing an 8-vertex graph as torus-block # K4-block."""
-    for seam in find_seams(g):
-        if not seam.proper or {len(seam.side_a), len(seam.side_b)} != {3, 5}:
-            continue
-        s_a, _, s_b, _ = extract_summands(g, seam)
-        small, big = (s_a, s_b) if s_a.n == 4 else (s_b, s_a)
-        if small.n != 4 or big.n != 6:
-            continue
-        if are_isomorphic(small, make_P1()) and are_isomorphic(big, make_T1()):
-            return seam
-    raise ReductionError("graph admits no torus # K4 seam")
-
-
 def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     """The one cut-and-glue move taking a torus # K4 sum to make_P(3) exactly.
 
@@ -541,13 +527,17 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     t_sum, p_sum, t_side = (s_a, s_b, seam.side_a) if s_a.n == 6 else (s_b, s_a, seam.side_b)
     if are_isomorphic(t_sum, make_T1()) is None or are_isomorphic(p_sum, make_P1()) is None:
         raise ReductionError("seam summands are not the torus graph and K4")
+    return _rewrite_at(g, seam, t_side).trace
+
+
+def _rewrite_at(g: ColoredGraph, seam: Seam, t_side: frozenset[int]) -> TraceCert:
+    """``rewrite_TP1_to_P3`` at a seam whose ``t_side`` is known to hold the
+    torus block: the recorded move and the final graph's witness onto P(3)."""
     h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
     h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]
     move = CutGlue(cut_spec(1, (h3, h4), (h2, h5), arc_vertex=h5), GlueSpec(1, (k4, h1)))
     trace, final = record_trace(g, [move])
-    if are_isomorphic(final, make_P(3)) is None:
-        raise ReductionError("internal: rewrite did not land on P(3)")
-    return trace
+    return TraceCert(trace, _iso_cert(final, form_P(3)))
 
 
 # ============================================================
@@ -604,16 +594,14 @@ def _reduce_node(g: ColoredGraph) -> Cert:
     """Split off torus or K4 blocks down to n <= 6, then fold the splits back up."""
     splits = []
     while g.n > 6:
-        bip = is_bipartite(g) is not None
-        splits.append((split_off_T1(g) if bip else split_off_P1(g), bip))
-        g = splits[-1][0].remainder
+        splits.append(split_off_T1(g) if is_bipartite(g) is not None else split_off_P1(g))
+        g = splits[-1].remainder
     node = _iso_cert(g, canonical_of(g.n, is_bipartite(g) is not None))
-    for sp, bip in reversed(splits):
-        piece = form_T(1) if bip else form_P(1)
+    for sp in reversed(splits):
         rem = certificate_conclusion(node)
-        joined, close = _congruence(sp.seam, sp.piece, _iso_cert(sp.piece, piece),
+        joined, close = _congruence(sp.seam, sp.piece, sp.piece_cert,
                                     sp.remainder, node, sp.piece_is_side_a)
-        if rem.kind == piece.kind:
+        if rem.kind == sp.piece_cert.form.kind:
             rest = _iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1))
         else:
             rest = _mixed_chain(joined, rem.m, sp.piece_is_side_a)
@@ -673,8 +661,7 @@ def _rewrite_block(w: ColoredGraph, m: int, p_first: bool) -> Cert:
         k4 = frozenset((inner[p_ids[0]], inner[p_ids[1]], rew.n))
     else:
         rew, k4 = w, frozenset(p_ids)
-    trace = rewrite_TP1_to_P3(rew, seam_from_side(rew, k4))
-    node = TraceCert(trace, _iso_cert(verify_trace(rew, trace), form_P(3)))
+    node = _rewrite_at(rew, seam_from_side(rew, k4), frozenset(range(1, rew.n + 1)) - k4)
     if m == 1:
         return node
     joined, close = _congruence(seam, tail, _iso_cert(tail, form_P(m - 1)),

@@ -11,8 +11,9 @@ from contextlib import contextmanager
 import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.catalog import enumerate_contracted, parity_certificate
+from gemsurf.core import seam_from_side
 from gemsurf.moves import enumerate_cut_specs, enumerate_glue_specs
-from gemsurf.reduction import form_P, form_T, tp1_seam
+from gemsurf.reduction import form_P, form_T
 from gemsurf.surfaces import classify_surface, complex_stats, crystallization_of
 
 
@@ -64,7 +65,7 @@ def test_c3_figure_replication():
             (2, 1, 3), (2, 5, 7), (2, 6, 8), (2, 2, 4),
         }
         assert set(g.edges()) == expected
-        trace = gs.rewrite_TP1_to_P3(g, tp1_seam(g))
+        trace = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
         assert len(trace.steps) == 1
         final = gs.verify_trace(g, trace)
         assert gs.are_isomorphic(final, gs.make_P(3)) is not None

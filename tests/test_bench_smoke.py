@@ -10,14 +10,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gemsurf as gs
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_enum_workload_with_traced_round():
+@pytest.mark.parametrize("workload", ["enum", "certify", "check"])
+def test_workload_with_traced_round(workload):
     proc = subprocess.run(
-        [sys.executable, "gembench/run.py", "--workload", "enum", "--seed", "1",
+        [sys.executable, "gembench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

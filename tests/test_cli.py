@@ -5,6 +5,7 @@ import pytest
 import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.cli import main
+from gemsurf.core import seam_from_side
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -67,6 +68,14 @@ def test_gen_and_info(tmp_path, capsys):
 
 def test_gen_requires_index(tmp_path, capsys):
     assert main(["gen", "P", "-o", str(tmp_path / "x.gem")]) == 2
+
+
+@pytest.mark.parametrize("family, m", [("P", "0"), ("T", "0"), ("T", "-1")])
+def test_gen_index_below_one_is_usage_error(tmp_path, capsys, family, m):
+    out = tmp_path / "x.gem"
+    assert main(["gen", family, m, "-o", str(out)]) == 2
+    assert f"error: {family} requires index m >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_l_takes_no_index(tmp_path, capsys):
@@ -178,7 +187,7 @@ def test_verify_pure_trace(tmp_path, capsys):
 
 def test_apply_writes_final_graph(tmp_path, capsys):
     g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
-    trace = gs.rewrite_TP1_to_P3(g, gs.reduction.tp1_seam(g))
+    trace = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
     gf = write(tmp_path, "g.gem", fileio.write_graph(g))
     tf = write(tmp_path, "g.trace", fileio.write_trace(trace))
     out = str(tmp_path / "final.gem")

@@ -7,6 +7,7 @@ import pytest
 import gemsurf as gs
 from gemsurf import CertificateError, ReductionError, fileio
 from gemsurf.catalog import enumerate_contracted
+from gemsurf.core import seam_from_side
 from gemsurf.reduction import (
     IsoCert,
     TraceCert,
@@ -15,7 +16,6 @@ from gemsurf.reduction import (
     form_L,
     form_P,
     form_T,
-    tp1_seam,
 )
 from gemsurf.surfaces import complex_stats
 from test_golden import random_contracted
@@ -145,6 +145,12 @@ def test_split_t1_on_t2():
     assert gs.are_isomorphic(sp.piece, gs.make_T1()) is not None
 
 
+def assert_piece_witness(sp, form):
+    """The split carries a witness that its detached block is ``form``."""
+    assert sp.piece_cert.form == form
+    assert gs.relabel(sp.piece, dict(sp.piece_cert.mapping)) == gs.realize(form)
+
+
 def test_split_t1_on_all_ten_vertex_bipartite():
     for e in enumerate_contracted(10).classes:
         if not e.bipartite:
@@ -156,6 +162,7 @@ def test_split_t1_on_all_ten_vertex_bipartite():
         # both moves preserve chi and the seam split satisfies the sum law
         assert chi(sp.final) == chi(e.graph)
         assert chi(sp.remainder) + chi(sp.piece) - 2 == chi(e.graph)
+        assert_piece_witness(sp, form_T(1))
 
 
 def test_split_t1_preconditions():
@@ -177,6 +184,7 @@ def test_split_p1_on_all_eight_vertex():
         assert sp.remainder.n == 6
         assert gs.is_contracted(sp.remainder)
         assert gs.verify_trace(e.graph, sp.trace) == sp.final
+        assert_piece_witness(sp, form_P(1))
 
 
 def test_split_p1_remainder_both_parities_occur():
@@ -184,6 +192,7 @@ def test_split_p1_remainder_both_parities_occur():
     for e in enumerate_contracted(12).classes:
         sp = gs.split_off_P1(e.graph)
         kinds.add(gs.is_bipartite(sp.remainder) is not None)
+        assert_piece_witness(sp, form_P(1))
     assert kinds == {True, False}
 
 
@@ -244,18 +253,19 @@ def test_rewrite_all_weldings():
     for tv in range(1, 7):
         for pv in range(1, 5):
             g = gs.connected_sum(gs.make_T1(), tv, gs.make_P1(), pv)
-            trace = gs.rewrite_TP1_to_P3(g, tp1_seam(g))
+            trace = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset(range(1, 6))))
             final = gs.verify_trace(g, trace)
             assert final.n == 8
             assert gs.are_isomorphic(final, p3) is not None
 
 
 def test_rewrite_rejects_wrong_graph():
+    p3 = gs.make_P(3)
+    with pytest.raises(ReductionError, match="seam summands are not the torus graph and K4"):
+        gs.rewrite_TP1_to_P3(p3, seam_from_side(p3, frozenset({1, 2, 3})))  # K4 # P(2)
     with pytest.raises(ReductionError):
-        tp1_seam(gs.make_P(3))  # no torus summand
-    with pytest.raises(ReductionError):
-        gs.rewrite_TP1_to_P3(gs.make_T(2), tp1_seam(
-            gs.connected_sum(gs.make_T1(), 1, gs.make_P1(), 1)))
+        gs.rewrite_TP1_to_P3(gs.make_T(2), seam_from_side(
+            gs.connected_sum(gs.make_T1(), 1, gs.make_P1(), 1), frozenset(range(1, 6))))
 
 
 # ============================================================

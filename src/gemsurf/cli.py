@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import fileio
-from .catalog import enumerate_contracted
+from .catalog import CatalogError, enumerate_contracted
 from .core import (
     GemError,
     are_isomorphic,
@@ -86,7 +86,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    cat = enumerate_contracted(args.n, bound=args.bound)
+    try:
+        cat = enumerate_contracted(args.n, bound=args.bound)
+    except CatalogError as exc:  # raised only for n and --bound, both command-line values
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     forms = ",".join(sorted({e.form.token() for e in cat.classes}))
     row = f"{cat.n}\t{len(cat.classes)}\t{cat.bipartite_count}\t{forms}"
     print(row)

@@ -14,7 +14,7 @@ file parsers alike.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 COLORS = (0, 1, 2)
 
@@ -444,12 +444,17 @@ class Seam:
     is the side containing vertex 1.  A seam is proper when both sides
     have at least two vertices; the edge triple at a single vertex is the
     trivial seam exhibiting the graph as a sum with the 2-vertex graph.
+
+    ``graph`` is the graph the seam was derived from, set only by the seam
+    derivations of this module; a hand-built seam, or a
+    ``dataclasses.replace`` copy, has None and is checked again before use.
     """
 
     edges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
     side_a: frozenset[int]
     side_b: frozenset[int]
     proper: bool
+    graph: ColoredGraph | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _seam_from_triple(g: ColoredGraph, triple) -> Seam | None:
@@ -467,7 +472,9 @@ def _seam_from_triple(g: ColoredGraph, triple) -> Seam | None:
         # Degenerate 2-vertex case: both summands would be forced to the
         # 2-vertex graph with the seam using all three edges; not a seam.
         return None
-    return Seam(tuple(triple), a, b, proper=len(a) >= 2 and len(b) >= 2)
+    seam = Seam(tuple(triple), a, b, proper=len(a) >= 2 and len(b) >= 2)
+    object.__setattr__(seam, "graph", g)
+    return seam
 
 
 def find_seams(g: ColoredGraph) -> list[Seam]:
@@ -509,16 +516,14 @@ def extract_summands(g: ColoredGraph, s: Seam) -> tuple[ColoredGraph, int, Color
     Returns (G1, u, G2, v): G1 is side A plus a fresh apex u closing the
     three dangling ends (likewise G2/v for side B), renumbered so side
     vertices keep their order and the apex comes last.  Then
-    ``connected_sum(G1, u, G2, v)`` is isomorphic to g.
+    ``connected_sum(G1, u, G2, v)`` is isomorphic to g.  A seam derived
+    from g itself is used as it is; any other is re-derived from its edge
+    triple first.
     """
-    check = _seam_from_triple(g, s.edges)
-    if check is None or {check.side_a, check.side_b} != {s.side_a, s.side_b}:
-        raise SeamError("not a seam of this graph")
-    return _summands(g, s)
-
-
-def _summands(g: ColoredGraph, s: Seam) -> tuple[ColoredGraph, int, ColoredGraph, int]:
-    """``extract_summands`` for a seam just derived from g, so left unchecked."""
+    if s.graph is not g:
+        check = _seam_from_triple(g, s.edges)
+        if check is None or {check.side_a, check.side_b} != {s.side_a, s.side_b}:
+            raise SeamError("not a seam of this graph")
 
     def build(other_side: frozenset[int]) -> tuple[ColoredGraph, int]:
         order = renumbering(g.n, other_side)

@@ -20,7 +20,6 @@ from .core import (
     Seam,
     ValidationError,
     _seam_from_triple,
-    _summands,
     are_isomorphic,
     bicolored_cycles,
     connected_sum,
@@ -322,7 +321,7 @@ def _verify_node(g: ColoredGraph, node: Cert):
             seam = _seam_from_triple(g, node.seam_edges)
             if seam is None:
                 raise CertificateError(f"recorded edge triple {node.seam_edges} is not a seam")
-            g1, _, g2, _ = _summands(g, seam)
+            g1, _, g2, _ = extract_summands(g, seam)
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
             try:
@@ -428,7 +427,7 @@ def _summands_at(g: ColoredGraph, side: frozenset[int]):
     then the apex.
     """
     seam = seam_from_side(g, side)
-    s_a, _, s_b, _ = _summands(g, seam)
+    s_a, _, s_b, _ = extract_summands(g, seam)
     if seam.side_a == side:
         return seam, s_a, s_b, True
     return seam, s_b, s_a, False
@@ -527,17 +526,10 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     t_sum, p_sum, t_side = (s_a, s_b, seam.side_a) if s_a.n == 6 else (s_b, s_a, seam.side_b)
     if are_isomorphic(t_sum, make_T1()) is None or are_isomorphic(p_sum, make_P1()) is None:
         raise ReductionError("seam summands are not the torus graph and K4")
-    return _rewrite_at(g, seam, t_side).trace
-
-
-def _rewrite_at(g: ColoredGraph, seam: Seam, t_side: frozenset[int]) -> TraceCert:
-    """``rewrite_TP1_to_P3`` at a seam whose ``t_side`` is known to hold the
-    torus block: the recorded move and the final graph's witness onto P(3)."""
     h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
     h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]
     move = CutGlue(cut_spec(1, (h3, h4), (h2, h5), arc_vertex=h5), GlueSpec(1, (k4, h1)))
-    trace, final = record_trace(g, [move])
-    return TraceCert(trace, _iso_cert(final, form_P(3)))
+    return record_trace(g, [move])[0]
 
 
 # ============================================================
@@ -582,9 +574,10 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
         welds = (f_a.vertex_count, 1)
     joined = connected_sum(realize(f_a), welds[0], realize(f_b), welds[1],
                            enforce_type_rule=True)
+    edges = seam.edges  # not the seam, which keeps the graph it cut alive
 
     def close(rest: Cert) -> RecombineCert:
-        return RecombineCert(seam.edges, left, right, *welds, rest,
+        return RecombineCert(edges, left, right, *welds, rest,
                              _fingerprint_of(g_a, left), _fingerprint_of(g_b, right),
                              _fingerprint_of(joined, rest))
     return joined, close
@@ -661,7 +654,8 @@ def _rewrite_block(w: ColoredGraph, m: int, p_first: bool) -> Cert:
         k4 = frozenset((inner[p_ids[0]], inner[p_ids[1]], rew.n))
     else:
         rew, k4 = w, frozenset(p_ids)
-    node = _rewrite_at(rew, seam_from_side(rew, k4), frozenset(range(1, rew.n + 1)) - k4)
+    trace = rewrite_TP1_to_P3(rew, seam_from_side(rew, k4))
+    node = TraceCert(trace, _iso_cert(apply_move(rew, trace.steps[0][0]), form_P(3)))
     if m == 1:
         return node
     joined, close = _congruence(seam, tail, _iso_cert(tail, form_P(m - 1)),

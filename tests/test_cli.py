@@ -96,6 +96,19 @@ def test_enum_summary_and_files(tmp_path, capsys):
     assert all(gs.is_contracted(g) for g in graphs)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["0"], "vertex count must be a positive even integer, got 0"),
+    (["3"], "vertex count must be a positive even integer, got 3"),
+    (["-2"], "vertex count must be a positive even integer, got -2"),
+    (["8", "--bound", "6"], "n=8 exceeds the enumeration bound 6"),
+])
+def test_enum_bad_n_is_usage_error(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "classes"
+    assert main(["enum", *argv, "--out-dir", str(out_dir)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_iso_negative_and_positive(tmp_path, capsys):
     a = t1_file(tmp_path)
     b = write(tmp_path, "p2.gem", fileio.write_graph(gs.make_P2()))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -444,6 +445,38 @@ def test_extract_trivial_seam_gives_l():
         other = g2 if small is g1 else g1
         assert gs.are_isomorphic(small, gs.make_L()) is not None
         assert gs.are_isomorphic(other, g) is not None
+
+
+def _unbound_seams():
+    """Proper seams that do not carry P(2), each with P(2)'s seam triple and wrong sides."""
+    g = gs.make_P2()
+    s = next(s for s in gs.find_seams(g) if s.proper)  # sides {1,2,6} and {3,4,5}
+    assert s.graph is g
+    hand_built = gs.Seam(s.edges, frozenset({1, 2, 5}), frozenset({3, 4, 6}), True)
+    moved = dataclasses.replace(s, side_a=s.side_a - {6}, side_b=s.side_b | {6})
+    assert moved.graph is None
+    # Swapping 5 and 6 keeps every edge of the triple but moves 5 to side A.
+    h = gs.relabel(g, {**{v: v for v in range(1, 7)}, 5: 6, 6: 5})
+    foreign = next(t for t in gs.find_seams(h) if t.proper)
+    assert foreign.edges == s.edges and foreign.graph is h
+    return g, {"hand-built": hand_built, "replaced": moved, "foreign": foreign}
+
+
+@pytest.mark.parametrize("kind", ["hand-built", "replaced", "foreign"])
+def test_unbound_seam_is_checked_again(kind):
+    g, seams = _unbound_seams()
+    with pytest.raises(gs.SeamError, match="not a seam of this graph"):
+        gs.extract_summands(g, seams[kind])
+    with pytest.raises(gs.SeamError, match="not a seam of this graph"):
+        gs.interchange(g, seams[kind], 1, 1)
+
+
+def test_seam_graph_is_outside_equality_and_repr():
+    g = gs.make_P2()
+    s = next(s for s in gs.find_seams(g) if s.proper)
+    copy = dataclasses.replace(s)
+    assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+    assert gs.extract_summands(g, copy) == gs.extract_summands(g, s)
 
 
 def test_extract_rejects_bogus_seam():

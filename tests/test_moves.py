@@ -293,6 +293,21 @@ def test_interchange_move_in_trace():
     assert gs.are_isomorphic(final, gs.make_P2()) is not None
 
 
+def test_interchange_step_derives_its_seam_once(monkeypatch):
+    g = gs.connected_sum(gs.make_P1(), 1, gs.make_P1(), 1)
+    seam = next(s for s in gs.find_seams(g) if s.proper)
+    derive, calls = gs.core._seam_from_triple, []
+
+    def counted(h, triple):
+        calls.append(triple)
+        return derive(h, triple)
+
+    monkeypatch.setattr(gs.core, "_seam_from_triple", counted)
+    monkeypatch.setattr(gs.moves, "_seam_from_triple", counted)
+    gs.apply_move(g, Interchange(seam.edges, 2, 3))
+    assert calls == [seam.edges]
+
+
 def test_interchange_move_rejects_non_seam():
     g = gs.make_T1()
     bogus = ((1, 2), (4, 5), (3, 6))  # removal leaves the hexagon connected

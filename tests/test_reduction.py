@@ -259,6 +259,23 @@ def test_rewrite_all_weldings():
             assert gs.are_isomorphic(final, p3) is not None
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_reduce_rewrites_once_per_torus_block(monkeypatch, p, k):
+    rewrite, calls = gs.reduction.rewrite_TP1_to_P3, []
+
+    def counted(g, seam):
+        calls.append(g.n)
+        return rewrite(g, seam)
+
+    monkeypatch.setattr(gs.reduction, "rewrite_TP1_to_P3", counted)
+    pk, tk = gs.make_P(p), gs.make_T(k)
+    for v, w in ((1, 1), (pk.n, 1), (1, tk.n)):
+        calls.clear()
+        assert gs.reduce(gs.connected_sum(pk, v, tk, w))[0] == form_P(p + 2 * k)
+        assert calls == [8] * k
+
+
 def test_rewrite_rejects_wrong_graph():
     p3 = gs.make_P(3)
     with pytest.raises(ReductionError, match="seam summands are not the torus graph and K4"):

@@ -3,23 +3,22 @@
 The {0,1}-Hamiltonian cycle is fixed in standard position (color 0 on
 (1,2), (3,4), ..., color 1 on (2,3), ..., (n,1)), which is legitimate
 because every contracted graph can be relabeled along that cycle.  The
-color-2 matching then runs over all fixed-point-free involutions,
-(n-1)!! of them, generated lexicographically by always pairing the
-smallest unpaired vertex; the involution space is naturally partitioned
-by that first pairing, so partitions could be enumerated independently
-and merged, with fingerprint-based isomorph rejection as the only
-synchronization point.
+color-2 row then runs over all fixed-point-free involutions, (n-1)!! of
+them, in lexicographic order.  A candidate row is tested by walking its
+{0,2}- and {1,2}-cycles through vertex 1; only a contracted row becomes a
+graph, and one graph per canonical fingerprint is kept.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import (
     Bipartition,
     ColoredGraph,
     GemError,
-    bicolored_cycles,
+    _cycle,
     canonical_graph,
     graph_from_matchings,
     is_bipartite,
@@ -54,17 +53,22 @@ class Catalog:
         return sum(1 for e in self.classes if e.bipartite)
 
 
-def fixed_point_free_involutions(items: tuple[int, ...]):
-    """All pairings of ``items``, lexicographic on the smallest element's partner."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    rest = items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in fixed_point_free_involutions(remaining):
-            yield ((first, partner),) + tail
+def _color2_rows(n: int):
+    """Every color-2 row on 1..n, in lexicographic order of its pairs.
+
+    Choice k pairs the least unpaired vertex with the k-th unpaired vertex
+    above it; one flat ``itertools.product`` walks the choices, so nothing
+    recurses.
+    """
+    for choice in itertools.product(*(range(k) for k in range(n - 1, 0, -2))):
+        row = [0] * (n + 1)
+        unpaired = list(range(n, 0, -1))
+        for k in choice:
+            u = unpaired.pop()
+            v = unpaired.pop(-1 - k)
+            row[u] = v
+            row[v] = u
+        yield row
 
 
 def _standard_cycle_matchings(n: int):
@@ -83,8 +87,8 @@ def _standard_cycle_matchings(n: int):
 def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
     """All contracted graphs with n vertices, up to isomorphism.
 
-    Keeps the color-2 involutions whose two mixed bicolored subgraphs are
-    single cycles, then dedups by canonical fingerprint.  Classes are
+    Keeps the color-2 rows whose two mixed bicolored subgraphs are single
+    cycles, then dedups by canonical fingerprint.  Classes are
     returned sorted by fingerprint.
     """
     if n % 2 != 0 or n < 2:
@@ -94,16 +98,10 @@ def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
                            "raise the bound deliberately for larger runs")
     m0, m1 = _standard_cycle_matchings(n)
     seen: dict[str, ColoredGraph] = {}
-    for pairs in fixed_point_free_involutions(tuple(range(1, n + 1))):
-        m2 = [0] * (n + 1)
-        for (u, v) in pairs:
-            m2[u] = v
-            m2[v] = u
+    for m2 in _color2_rows(n):
+        if len(_cycle(m0, m2, 1)) != n or len(_cycle(m1, m2, 1)) != n:
+            continue
         g = graph_from_matchings(n, m0, m1, m2)
-        if len(bicolored_cycles(g, 0, 2).cycles) != 1:
-            continue
-        if len(bicolored_cycles(g, 1, 2).cycles) != 1:
-            continue
         fp = fingerprint(g)
         if fp not in seen:
             seen[fp] = canonical_graph(g)

@@ -168,6 +168,18 @@ class BicoloredCycles:
     cycles: tuple[tuple[int, ...], ...]
 
 
+def _cycle(a, b, v: int) -> list[int]:
+    """The cycle of the neighbor rows ``a`` and ``b`` through v, listed from v,
+    first step along ``a``."""
+    cyc, u = [], v
+    while True:
+        w = a[u]
+        cyc += (u, w)
+        u = b[w]
+        if u == v:
+            return cyc
+
+
 def bicolored_cycles(g: ColoredGraph, i: int, j: int) -> BicoloredCycles:
     """Orbits of the group generated by the color-i and color-j matchings."""
     if i == j or i not in COLORS or j not in COLORS:
@@ -176,16 +188,11 @@ def bicolored_cycles(g: ColoredGraph, i: int, j: int) -> BicoloredCycles:
     seen = [False] * (g.n + 1)
     cycles = []
     for start in range(1, g.n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        v, next_color = start, i
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = (mi if next_color == i else mj)[v]
-            next_color = j if next_color == i else i
-        cycles.append(tuple(cyc))
+        if not seen[start]:
+            cyc = _cycle(mi, mj, start)
+            for v in cyc:
+                seen[v] = True
+            cycles.append(tuple(cyc))
     return BicoloredCycles((i, j), tuple(cycles))
 
 
@@ -197,7 +204,8 @@ def cycle_counts(g: ColoredGraph) -> dict[tuple[int, int], int]:
 
 def is_contracted(g: ColoredGraph) -> bool:
     """True iff every bicolored subgraph is a single Hamiltonian cycle."""
-    return all(k == 1 for k in cycle_counts(g).values())
+    m = g.matchings
+    return all(len(_cycle(m[i], m[j], 1)) == g.n for (i, j) in ((0, 1), (0, 2), (1, 2)))
 
 
 def _reach(g: ColoredGraph, start: int, seen: list[bool], triple=None) -> list[int]:

@@ -15,6 +15,7 @@ from .core import (
     GemError,
     Seam,
     _copy_edges,
+    _cycle,
     _seam_from_triple,
     bicolored_cycles,
     canonical_graph,
@@ -115,28 +116,6 @@ Move = Cut | Glue | CutGlue | Interchange
 # ============================================================
 
 
-def _locate_cycle_edges(g: ColoredGraph, a: int, b: int, ea, eb):
-    """Return (cycle, k_a, k_b): the {a,b}-cycle through ea and the edge positions.
-
-    Edge k of a cycle joins cyc[k] and cyc[k+1 mod L] and has color a for
-    even k, b for odd k (the traversal starts along color a).
-    """
-    for cyc in bicolored_cycles(g, a, b).cycles:
-        L = len(cyc)
-        k_a = k_b = None
-        for k in range(L):
-            pair = tuple(sorted((cyc[k], cyc[(k + 1) % L])))
-            if k % 2 == 0 and pair == ea:
-                k_a = k
-            if k % 2 == 1 and pair == eb:
-                k_b = k
-        if k_a is not None and k_b is not None:
-            return cyc, k_a, k_b
-        if k_a is not None or k_b is not None:
-            raise MoveError(f"edges {ea} and {eb} lie on different ({a},{b})-cycles")
-    raise MoveError(f"no ({a},{b})-cycle through edges {ea} and {eb}")
-
-
 def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
     """Split one {a,b}-cycle in two, inserting z1 = n+1 and z2 = n+2.
 
@@ -155,38 +134,29 @@ def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
         raise MoveError(f"{ea} is not an edge of color {a}")
     if not g.has_edge(b, *eb):
         raise MoveError(f"{eb} is not an edge of color {b}")
-    cyc, k_a, k_b = _locate_cycle_edges(g, a, b, ea, eb)
-    L = len(cyc)
-
-    def arc(start: int, stop: int) -> list[int]:
-        out = [cyc[start % L]]
-        k = start
-        while k % L != stop % L:
-            k += 1
-            out.append(cyc[k % L])
-        return out
-
-    # Arc 1 runs from edge_a's far end to edge_b's near end; arc 2 the rest.
-    arc1 = arc(k_a + 1, k_b)
-    arc2 = arc(k_b + 1, k_a)
-    if spec.arc_vertex in arc1:
-        arc_z1, arc_z2 = arc1, arc2
-    elif spec.arc_vertex in arc2:
-        arc_z1, arc_z2 = arc2, arc1
-    else:
+    # The cycle walked from edge_a: edge_a is (cyc[0], cyc[1]), and the
+    # b-edges sit at odd k as (cyc[k], cyc[k+1 mod L]), so edge_b is at k.
+    cyc = _cycle(g.matchings[a], g.matchings[b], ea[0])
+    if eb[0] not in cyc:
+        raise MoveError(f"edges {ea} and {eb} lie on different ({a},{b})-cycles")
+    k = cyc.index(eb[0])
+    k = k if k % 2 else (k - 1) % len(cyc)
+    # Each arc runs from its edge_a end to its edge_b end.
+    arc_z1, arc_z2 = cyc[1:k + 1], [cyc[0], *cyc[:k:-1]]
+    if spec.arc_vertex in arc_z2:
+        arc_z1, arc_z2 = arc_z2, arc_z1
+    elif spec.arc_vertex not in arc_z1:
         raise MoveError(f"arc vertex {spec.arc_vertex} is not on the cut cycle")
 
     # Every end of edge_a and edge_b is rewelded to z1 or z2 below, which
     # overwrites the two removed edges in the copied rows.
     z1, z2 = g.n + 1, g.n + 2
     rows = [list(m) + [0, 0] for m in g.matchings]
-    for z, arc_z in ((z1, arc_z1), (z2, arc_z2)):
-        end_a = arc_z[0] if arc_z is arc1 else arc_z[-1]
-        end_b = arc_z[-1] if arc_z is arc1 else arc_z[0]
-        rows[a][z] = end_a
-        rows[a][end_a] = z
-        rows[b][z] = end_b
-        rows[b][end_b] = z
+    for z, arc in ((z1, arc_z1), (z2, arc_z2)):
+        rows[a][z] = arc[0]
+        rows[a][arc[0]] = z
+        rows[b][z] = arc[-1]
+        rows[b][arc[-1]] = z
     rows[c][z1] = z2
     rows[c][z2] = z1
     return graph_from_matchings(z2, *rows)
@@ -205,11 +175,10 @@ def _check_glue(g: ColoredGraph, spec: GlueSpec) -> tuple[int, int]:
     if not g.has_edge(c, w1, w2):
         raise MoveError(f"no color-{c} edge between {w1} and {w2}")
     a, b = other_colors(c)
-    for cyc in bicolored_cycles(g, a, b).cycles:
-        if w1 in cyc and w2 in cyc:
-            raise MoveError(
-                f"glue pair ({w1},{w2}) lies on a single ({a},{b})-cycle; "
-                "such a glue inverts no cut")
+    if w2 in _cycle(g.matchings[a], g.matchings[b], w1):
+        raise MoveError(
+            f"glue pair ({w1},{w2}) lies on a single ({a},{b})-cycle; "
+            "such a glue inverts no cut")
     return a, b
 
 
@@ -341,20 +310,28 @@ def verify_trace(g0: ColoredGraph, trace: MoveTrace) -> ColoredGraph:
 
 
 def enumerate_cut_specs(g: ColoredGraph):
-    """All legal CutSpecs of g, one per (color, edge pair, arc) choice."""
+    """All legal CutSpecs of g, one per (color, edge pair, arc) choice.
+
+    ``after`` maps each {a,b}-cycle edge, as (parity, u, v) with u < v, to its
+    cycle and the vertex after it, where one arc of a cut at that edge starts.
+    """
     for c in COLORS:
         a, b = other_colors(c)
+        after = {}
+        for idx, cyc in enumerate(bicolored_cycles(g, a, b).cycles):
+            L = len(cyc)
+            for k, u in enumerate(cyc):
+                v = cyc[(k + 1) % L]
+                after[(k % 2, min(u, v), max(u, v))] = (idx, v)
         for ea in g.edges_of_color(a):
+            cyc_a, head_a = after[(0, *ea)]
             for eb in g.edges_of_color(b):
-                try:
-                    cyc, k_a, k_b = _locate_cycle_edges(g, a, b, ea, eb)
-                except MoveError:
+                cyc_b, head_b = after[(1, *eb)]
+                if cyc_a != cyc_b:
                     continue
-                L = len(cyc)
-                heads = (cyc[(k_a + 1) % L], cyc[(k_b + 1) % L])
-                yield CutSpec(c, ea, eb, heads[0])
-                if heads[1] != heads[0]:
-                    yield CutSpec(c, ea, eb, heads[1])
+                yield CutSpec(c, ea, eb, head_a)
+                if head_b != head_a:
+                    yield CutSpec(c, ea, eb, head_b)
 
 
 def enumerate_glue_specs(g: ColoredGraph, cut_color: int):

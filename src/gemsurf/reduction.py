@@ -19,9 +19,9 @@ from .core import (
     GemError,
     Seam,
     ValidationError,
+    _cycle,
     _seam_from_triple,
     are_isomorphic,
-    bicolored_cycles,
     connected_sum,
     extract_summands,
     graph_from_matchings,
@@ -395,7 +395,7 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool):
         raise ReductionError(f"bipartite split requires n = 4q+2 with q >= 2, got {n}")
     if not bipartite and n < 6:
         raise ReductionError(f"non-bipartite split requires n >= 6, got {n}")
-    cyc = bicolored_cycles(g, 0, 1).cycles[0]
+    cyc = _cycle(g.matchings[0], g.matchings[1], 1)
     at = {v: k for k, v in enumerate(cyc)}
     partner = [at[g.matchings[2][v]] for v in cyc]  # cycle index of cyc[k]'s partner
     best = None

@@ -1,11 +1,14 @@
 """The benchmark harness and the reduce sweep run against this source tree.
 
 The harness looks up package functions by name, so a rename in ``src/``
-shows up here as a failed run.
+shows up here as a failed run.  It writes its spans and work directories
+under its own checkout, so it runs from a temporary copy of the harness
+whose ``src`` links to this tree.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -18,12 +21,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload", ["enum", "certify", "check"])
-def test_workload_with_traced_round(workload):
+def test_workload_with_traced_round(workload, tmp_path):
+    shutil.copytree(ROOT / "gembench", tmp_path / "gembench",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src")
     proc = subprocess.run(
         [sys.executable, "gembench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / ".gembench" / f"spans-{workload}.csv").is_file()
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0

@@ -5,21 +5,28 @@ import pytest
 import gemsurf as gs
 from gemsurf.catalog import (
     CatalogError,
+    _color2_rows,
     enumerate_contracted,
-    fixed_point_free_involutions,
     parity_certificate,
 )
 from gemsurf.reduction import form_P, form_T
 
 
 def test_involution_counts_double_factorial():
-    assert len(list(fixed_point_free_involutions(tuple(range(1, 7))))) == 15
-    assert len(list(fixed_point_free_involutions(tuple(range(1, 9))))) == 105
+    assert sum(1 for _ in _color2_rows(6)) == 15
+    assert sum(1 for _ in _color2_rows(8)) == 105
 
 
 def test_involutions_lexicographic():
-    pairs = list(fixed_point_free_involutions((1, 2, 3, 4)))
-    assert pairs == [((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))]
+    rows = list(_color2_rows(4))
+    assert rows == [[0, 2, 1, 4, 3], [0, 3, 4, 1, 2], [0, 4, 3, 2, 1]]
+
+
+def test_involutions_do_not_nest_generators():
+    # A recursive generator nests one frame per pairing, so n = 2002 used
+    # to end in RecursionError (it is `gemsurf enum 2002 --bound 3000`).
+    row = next(_color2_rows(2002))
+    assert row[1:5] == [2, 1, 4, 3] and row[2001:] == [2002, 2001]
 
 
 def test_small_counts():

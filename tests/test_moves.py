@@ -109,6 +109,123 @@ def test_cut_splits_cycle_counts():
 
 
 # ============================================================
+# differential check of the cut against the decomposition-based one
+# ============================================================
+#
+# The reference below locates both cut edges by scanning every cycle of a
+# full {a,b}-decomposition and keeps each arc's ends as it walks them; the
+# package walks only the cycle through edge_a.
+
+
+def _reference_locate(g, a, b, ea, eb):
+    for cyc in gs.bicolored_cycles(g, a, b).cycles:
+        L = len(cyc)
+        k_a = k_b = None
+        for k in range(L):
+            pair = tuple(sorted((cyc[k], cyc[(k + 1) % L])))
+            if k % 2 == 0 and pair == ea:
+                k_a = k
+            if k % 2 == 1 and pair == eb:
+                k_b = k
+        if k_a is not None and k_b is not None:
+            return cyc, k_a, k_b
+        if k_a is not None or k_b is not None:
+            raise MoveError(f"edges {ea} and {eb} lie on different ({a},{b})-cycles")
+    raise MoveError(f"no ({a},{b})-cycle through edges {ea} and {eb}")
+
+
+def _reference_cut(g, spec):
+    c = spec.cut_color
+    a, b = other_colors(c)
+    ea, eb = spec.edge_a, spec.edge_b
+    if not g.has_edge(a, *ea):
+        raise MoveError(f"{ea} is not an edge of color {a}")
+    if not g.has_edge(b, *eb):
+        raise MoveError(f"{eb} is not an edge of color {b}")
+    cyc, k_a, k_b = _reference_locate(g, a, b, ea, eb)
+    L = len(cyc)
+
+    def arc(start, stop):
+        out = [cyc[start % L]]
+        k = start
+        while k % L != stop % L:
+            k += 1
+            out.append(cyc[k % L])
+        return out
+
+    arc1, arc2 = arc(k_a + 1, k_b), arc(k_b + 1, k_a)
+    if spec.arc_vertex in arc1:
+        arc_z1, arc_z2 = arc1, arc2
+    elif spec.arc_vertex in arc2:
+        arc_z1, arc_z2 = arc2, arc1
+    else:
+        raise MoveError(f"arc vertex {spec.arc_vertex} is not on the cut cycle")
+    z1, z2 = g.n + 1, g.n + 2
+    rows = [list(m) + [0, 0] for m in g.matchings]
+    for z, arc_z in ((z1, arc_z1), (z2, arc_z2)):
+        end_a = arc_z[0] if arc_z is arc1 else arc_z[-1]
+        end_b = arc_z[-1] if arc_z is arc1 else arc_z[0]
+        rows[a][z], rows[a][end_a] = end_a, z
+        rows[b][z], rows[b][end_b] = end_b, z
+    rows[c][z1], rows[c][z2] = z2, z1
+    return gs.core.graph_from_matchings(z2, *rows)
+
+
+def _reference_cut_specs(g):
+    for c in gs.COLORS:
+        a, b = other_colors(c)
+        for ea in g.edges_of_color(a):
+            for eb in g.edges_of_color(b):
+                try:
+                    cyc, k_a, k_b = _reference_locate(g, a, b, ea, eb)
+                except MoveError:
+                    continue
+                L = len(cyc)
+                heads = (cyc[(k_a + 1) % L], cyc[(k_b + 1) % L])
+                yield gs.CutSpec(c, ea, eb, heads[0])
+                if heads[1] != heads[0]:
+                    yield gs.CutSpec(c, ea, eb, heads[1])
+
+
+def _outcome(cut, g, spec):
+    try:
+        return cut(g, spec)
+    except MoveError as exc:
+        return type(exc), str(exc)
+
+
+def test_cut_matches_the_decomposition_based_cut():
+    graphs = catalog_graphs(8)
+    # Each catalog graph cut once per color: inputs with two cycles of the
+    # cut pair, so edge pairs on different cycles are exercised too.
+    graphs += [gs.simple_cut(g, next(s for s in enumerate_cut_specs(g) if s.cut_color == c))
+               for g in catalog_graphs(8) for c in gs.COLORS]
+    for g in graphs:
+        assert gs.is_contracted(g) == all(k == 1 for k in gs.cycle_counts(g).values())
+        assert list(enumerate_cut_specs(g)) == list(_reference_cut_specs(g))
+        for c in gs.COLORS:
+            a, b = other_colors(c)
+            for ea, eb in itertools.product(g.edges_of_color(a), g.edges_of_color(b)):
+                for x in range(g.n + 2):
+                    spec = gs.CutSpec(c, ea, eb, x)
+                    assert _outcome(gs.simple_cut, g, spec) == _outcome(_reference_cut, g, spec)
+    for g in (e.graph for e in enumerate_contracted(10).classes):
+        assert gs.is_contracted(g)
+        assert list(enumerate_cut_specs(g)) == list(_reference_cut_specs(g))
+
+
+def test_cut_with_unsorted_edges_cuts_like_its_sorted_twin():
+    # The decomposition-based cut compared sorted pairs only, so a hand-built
+    # spec with an unsorted edge was reported as lying on different cycles.
+    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    sorted_cut = gs.simple_cut(g, cut_spec(2, (7, 8), (5, 6), arc_vertex=6))
+    assert gs.simple_cut(g, gs.CutSpec(2, (8, 7), (6, 5), 6)) == sorted_cut
+    assert gs.simple_cut(g, gs.CutSpec(2, (8, 7), (5, 6), 6)) == sorted_cut
+    with pytest.raises(MoveError, match="different"):
+        _reference_cut(g, gs.CutSpec(2, (8, 7), (5, 6), 6))
+
+
+# ============================================================
 # simple glue
 # ============================================================
 

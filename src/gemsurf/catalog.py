@@ -3,22 +3,34 @@
 The {0,1}-Hamiltonian cycle is fixed in standard position (color 0 on
 (1,2), (3,4), ..., color 1 on (2,3), ..., (n,1)), which is legitimate
 because every contracted graph can be relabeled along that cycle.  The
-color-2 row then runs over all fixed-point-free involutions, (n-1)!! of
-them, in lexicographic order.  A candidate row is tested by walking its
-{0,2}- and {1,2}-cycles through vertex 1; only a contracted row becomes a
-graph, and one graph per canonical fingerprint is kept.
+color-2 row is then built by a depth-first search that pairs the least
+unpaired vertex with each larger one in turn.  The color-0 and color-2
+edges placed so far form paths and cycles, and so do the color-1 and
+color-2 edges; every unpaired vertex ends one path of each, and two
+arrays hold the other end.  A pair that would close either path into a
+cycle before the last pair is refused.  That refuses at most two
+partners, so with four or more vertices unpaired a partner is always
+left, and every branch ends in a contracted row: the search visits no
+row it then throws away.
+
+A color-preserving isomorphism between two graphs in standard position
+maps the {0,1}-cycle onto itself, so it is one of the n symmetries of
+the cycle that keep colors, k -> d(k-1-off) mod n + 1 with d = 1 and off
+even or d = -1 and off odd.  Two rows give isomorphic graphs exactly
+when one is the other conjugated by such a symmetry, so each class has
+one lexicographically least row.  A row is kept only if it is that
+least row of its orbit (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998), and only kept rows become graphs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import (
     Bipartition,
     ColoredGraph,
     GemError,
-    _cycle,
     canonical_graph,
     graph_from_matchings,
     is_bipartite,
@@ -53,24 +65,6 @@ class Catalog:
         return sum(1 for e in self.classes if e.bipartite)
 
 
-def _color2_rows(n: int):
-    """Every color-2 row on 1..n, in lexicographic order of its pairs.
-
-    Choice k pairs the least unpaired vertex with the k-th unpaired vertex
-    above it; one flat ``itertools.product`` walks the choices, so nothing
-    recurses.
-    """
-    for choice in itertools.product(*(range(k) for k in range(n - 1, 0, -2))):
-        row = [0] * (n + 1)
-        unpaired = list(range(n, 0, -1))
-        for k in choice:
-            u = unpaired.pop()
-            v = unpaired.pop(-1 - k)
-            row[u] = v
-            row[v] = u
-        yield row
-
-
 def _standard_cycle_matchings(n: int):
     m0 = [0] * (n + 1)
     m1 = [0] * (n + 1)
@@ -84,12 +78,89 @@ def _standard_cycle_matchings(n: int):
     return tuple(m0), tuple(m1)
 
 
+def _contracted_rows(n: int):
+    """Every color-2 row on 1..n that makes the standard cycle contracted.
+
+    Yields one list, updated in place, so a caller that keeps a row must
+    copy it.  Nothing recurses, and the state is a few arrays of n+2
+    integers: the row, the open-path ends ``end0`` (color 0 and 2) and
+    ``end1`` (color 1 and 2), and a linked list of the unpaired vertices.
+    """
+    end0, end1 = (list(m) for m in _standard_cycle_matchings(n))
+    nxt = list(range(1, n + 3))  # unpaired vertices as a linked list: 0 heads it,
+    prv = list(range(-1, n + 1))  # n + 1 ends it
+    row = [0] * (n + 1)
+    placed: list[tuple[int, int]] = []
+    last = n // 2 - 1  # pairs placed when u and its partner are the last two
+    u, w = 1, 2
+    while True:
+        if len(placed) == last:
+            row[u] = w
+            row[w] = u
+            yield row
+        else:
+            while w <= n and (w == end0[u] or w == end1[u]):
+                w = nxt[w]
+            if w <= n:
+                row[u] = w
+                row[w] = u
+                for end in (end0, end1):
+                    a, b = end[u], end[w]
+                    end[a] = b
+                    end[b] = a
+                nxt[prv[u]] = nxt[u]
+                prv[nxt[u]] = prv[u]
+                nxt[prv[w]] = nxt[w]
+                prv[nxt[w]] = prv[w]
+                placed.append((u, w))
+                u = nxt[0]
+                w = nxt[u]
+                continue
+        if not placed:
+            return
+        u, w = placed.pop()
+        nxt[prv[w]] = w
+        prv[nxt[w]] = w
+        nxt[prv[u]] = u
+        prv[nxt[u]] = u
+        for end in (end0, end1):
+            end[end[u]] = u
+            end[end[w]] = w
+        w = nxt[w]
+
+
+def _cycle_symmetries(n: int) -> list[tuple[list[int], list[int]]]:
+    """(p, p^-1) for the n - 1 color-keeping symmetries of the standard
+    cycle other than the identity, each a list indexed 0..n."""
+    syms = []
+    for d, first in ((1, 2), (-1, 1)):
+        for off in range(first, n, 2):
+            p = [0] + [d * (k - 1 - off) % n + 1 for k in range(1, n + 1)]
+            q = [0] * (n + 1)
+            for k in range(1, n + 1):
+                q[p[k]] = k
+            syms.append((p, q))
+    return syms
+
+
+def _is_orbit_minimal(row: list[int], syms) -> bool:
+    """True iff no conjugate p.row.p^-1 is lexicographically below ``row``."""
+    n = len(row) - 1
+    for p, q in syms:
+        for k in range(1, n + 1):
+            x = p[row[q[k]]]
+            if x != row[k]:
+                if x < row[k]:
+                    return False
+                break
+    return True
+
+
 def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
     """All contracted graphs with n vertices, up to isomorphism.
 
-    Keeps the color-2 rows whose two mixed bicolored subgraphs are single
-    cycles, then dedups by canonical fingerprint.  Classes are
-    returned sorted by fingerprint.
+    Keeps the orbit-minimal contracted rows, one per class, and returns
+    their classes sorted by canonical fingerprint.
     """
     if n % 2 != 0 or n < 2:
         raise CatalogError(f"vertex count must be a positive even integer, got {n}")
@@ -97,20 +168,20 @@ def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
         raise CatalogError(f"n={n} exceeds the enumeration bound {bound}; "
                            "raise the bound deliberately for larger runs")
     m0, m1 = _standard_cycle_matchings(n)
-    seen: dict[str, ColoredGraph] = {}
-    for m2 in _color2_rows(n):
-        if len(_cycle(m0, m2, 1)) != n or len(_cycle(m1, m2, 1)) != n:
+    syms = _cycle_symmetries(n)
+    entries = []
+    for m2 in _contracted_rows(n):
+        if not _is_orbit_minimal(m2, syms):
             continue
         g = graph_from_matchings(n, m0, m1, m2)
-        fp = fingerprint(g)
-        if fp not in seen:
-            seen[fp] = canonical_graph(g)
-    entries = []
-    for fp in sorted(seen):
-        g = seen[fp]
         bip = is_bipartite(g) is not None
         chi = complex_stats(g).euler_characteristic
-        entries.append(CatalogEntry(g, fp, bip, chi, canonical_of(n, bip)))
+        entries.append(CatalogEntry(canonical_graph(g), fingerprint(g), bip, chi,
+                                    canonical_of(n, bip)))
+    entries.sort(key=lambda e: e.fingerprint)
+    for a, b in zip(entries, entries[1:]):
+        if a.fingerprint == b.fingerprint:
+            raise GemError(f"two orbit-minimal rows at n={n} share fingerprint {a.fingerprint}")
     return Catalog(n, tuple(entries))
 
 

@@ -1,32 +1,78 @@
 import random
+import tracemalloc
 
 import pytest
 
 import gemsurf as gs
 from gemsurf.catalog import (
     CatalogError,
-    _color2_rows,
+    _contracted_rows,
+    _standard_cycle_matchings,
     enumerate_contracted,
     parity_certificate,
 )
+from gemsurf.core import _bfs_encoding, graph_from_matchings
 from gemsurf.reduction import form_P, form_T
 
 
-def test_involution_counts_double_factorial():
-    assert sum(1 for _ in _color2_rows(6)) == 15
-    assert sum(1 for _ in _color2_rows(8)) == 105
+def all_involutions(vertices):
+    """Every fixed-point-free involution of ``vertices``, as (u, v) pairs."""
+    if not vertices:
+        yield []
+        return
+    u, rest = vertices[0], vertices[1:]
+    for i, v in enumerate(rest):
+        for pairs in all_involutions(rest[:i] + rest[i + 1:]):
+            yield [(u, v)] + pairs
 
 
-def test_involutions_lexicographic():
-    rows = list(_color2_rows(4))
-    assert rows == [[0, 2, 1, 4, 3], [0, 3, 4, 1, 2], [0, 4, 3, 2, 1]]
+def standard_graph(n, m2):
+    m0, m1 = _standard_cycle_matchings(n)
+    return graph_from_matchings(n, m0, m1, m2)
 
 
-def test_involutions_do_not_nest_generators():
-    # A recursive generator nests one frame per pairing, so n = 2002 used
-    # to end in RecursionError (it is `gemsurf enum 2002 --bound 3000`).
-    row = next(_color2_rows(2002))
-    assert row[1:5] == [2, 1, 4, 3] and row[2001:] == [2002, 2001]
+def brute_force_count(n):
+    count = 0
+    for pairs in all_involutions(list(range(1, n + 1))):
+        m2 = [0] * (n + 1)
+        for u, v in pairs:
+            m2[u], m2[v] = v, u
+        count += gs.is_contracted(standard_graph(n, m2))
+    return count
+
+
+def test_search_yields_every_contracted_row_once():
+    for n, want in ((2, 1), (4, 1), (6, 4), (8, 20), (10, 148)):
+        rows = [tuple(row) for row in _contracted_rows(n)]
+        assert len(rows) == len(set(rows)) == want == brute_force_count(n)
+        assert all(gs.is_contracted(standard_graph(n, row)) for row in rows)
+
+
+def test_orbit_sizes_sum_to_the_raw_row_count():
+    # Each class is one orbit of the n cycle symmetries; its size is
+    # n / |Aut(G)|, and an automorphism is a root whose full encoding
+    # equals root 1's.
+    for n in range(2, 13, 2):
+        total = 0
+        for e in enumerate_contracted(n).classes:
+            enc = _bfs_encoding(e.graph, 1)[0]
+            aut = sum(_bfs_encoding(e.graph, r)[0] == enc for r in range(1, n + 1))
+            assert n % aut == 0
+            total += n // aut
+        assert total == sum(1 for _ in _contracted_rows(n))
+
+
+def test_search_first_row_is_flat_and_small():
+    # `gemsurf enum 4002 --bound 5000` must reach its first row without a
+    # RecursionError and in memory linear in n.
+    tracemalloc.start()
+    try:
+        row = list(next(_contracted_rows(4002)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert gs.is_contracted(standard_graph(4002, row))
 
 
 def test_small_counts():
@@ -96,6 +142,18 @@ def test_bounds():
     with pytest.raises(CatalogError):
         enumerate_contracted(7)
     assert enumerate_contracted(2, bound=2).n == 2
+
+
+@pytest.mark.slow
+def test_class_count_at_n14():
+    assert len(enumerate_contracted(14, bound=14).classes) == 1161
+
+
+@pytest.mark.slow
+def test_no_bipartite_class_at_n16():
+    cat = enumerate_contracted(16, bound=16)
+    assert len(cat.classes) == 12504
+    assert cat.bipartite_count == 0
 
 
 # ============================================================

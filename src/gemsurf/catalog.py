@@ -35,7 +35,7 @@ from .core import (
     graph_from_matchings,
     is_bipartite,
 )
-from .moves import fingerprint
+from .moves import _fingerprint_text
 from .reduction import CanonicalForm, canonical_of
 from .surfaces import complex_stats
 
@@ -159,8 +159,8 @@ def _is_orbit_minimal(row: list[int], syms) -> bool:
 def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
     """All contracted graphs with n vertices, up to isomorphism.
 
-    Keeps the orbit-minimal contracted rows, one per class, and returns
-    their classes sorted by canonical fingerprint.
+    Keeps the orbit-minimal contracted rows, one per class, labels each
+    once, and returns their classes sorted by canonical fingerprint.
     """
     if n % 2 != 0 or n < 2:
         raise CatalogError(f"vertex count must be a positive even integer, got {n}")
@@ -176,18 +176,13 @@ def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
         g = graph_from_matchings(n, m0, m1, m2)
         bip = is_bipartite(g) is not None
         chi = complex_stats(g).euler_characteristic
-        entries.append(CatalogEntry(canonical_graph(g), fingerprint(g), bip, chi,
-                                    canonical_of(n, bip)))
+        cg = canonical_graph(g)
+        entries.append(CatalogEntry(cg, _fingerprint_text(cg), bip, chi, canonical_of(n, bip)))
     entries.sort(key=lambda e: e.fingerprint)
     for a, b in zip(entries, entries[1:]):
         if a.fingerprint == b.fingerprint:
             raise GemError(f"two orbit-minimal rows at n={n} share fingerprint {a.fingerprint}")
     return Catalog(n, tuple(entries))
-
-
-def count_bipartite_contracted(n: int, bound: int = 12) -> int:
-    """Number of bipartite classes among the contracted graphs on n vertices."""
-    return enumerate_contracted(n, bound=bound).bipartite_count
 
 
 # ============================================================

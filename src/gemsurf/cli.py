@@ -20,7 +20,7 @@ from .core import (
     is_connected,
     is_contracted,
 )
-from .moves import TraceError, fingerprint, verify_trace
+from .moves import TraceError, verify_trace
 from .reduction import (
     CanonicalForm,
     CertificateError,
@@ -161,7 +161,8 @@ def cmd_apply(args) -> int:
         print(f"trace failed: {exc}", file=sys.stderr)
         return 1
     _write(args.output, fileio.write_graph(final))
-    print(f"wrote n={final.n} graph to {args.output} (fingerprint {fingerprint(final)})")
+    fp = trace.steps[-1][1] if trace.steps else trace.initial  # verify_trace checked it
+    print(f"wrote n={final.n} graph to {args.output} (fingerprint {fp})")
     return 0
 
 

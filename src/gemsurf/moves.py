@@ -240,11 +240,14 @@ def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredG
 # ============================================================
 
 
+def _fingerprint_text(cg: ColoredGraph) -> str:
+    """The fingerprint of every graph whose canonical graph is ``cg``."""
+    return f"{cg.n}:" + ":".join(".".join(map(str, cg.matchings[c][1:])) for c in COLORS)
+
+
 def fingerprint(g: ColoredGraph) -> str:
     """Collision-free canonical fingerprint: n and the canonical matchings."""
-    cg = canonical_graph(g)
-    parts = [".".join(str(x) for x in cg.matchings[c][1:]) for c in COLORS]
-    return f"{cg.n}:" + ":".join(parts)
+    return _fingerprint_text(canonical_graph(g))
 
 
 # ============================================================

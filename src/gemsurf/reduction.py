@@ -503,7 +503,7 @@ def split_off_P1(g: ColoredGraph) -> SplitOff:
 # ============================================================
 
 
-def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
+def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> tuple[MoveTrace, ColoredGraph]:
     """The one cut-and-glue move taking a torus # K4 sum to make_P(3) exactly.
 
     Three pairwise non-isomorphic (though equivalent) chains of three K4
@@ -518,7 +518,8 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     color-0 partners of 1 and 3, and the K4 end of the color-1 seam edge
     is K4's 4.  The move cuts the color-0 edge hexagon 3-4 and the color-2
     edge hexagon 2-5 with z1 on the arc through hexagon-5, then glues at
-    (K4's 4, hexagon's 1), which the color-1 seam edge joins.
+    (K4's 4, hexagon's 1), which the color-1 seam edge joins.  Returns the
+    trace and the graph it lands on, as ``record_trace`` does.
     """
     if g.n != 8:
         raise ReductionError(f"rewrite applies to 8-vertex graphs, got n={g.n}")
@@ -529,7 +530,7 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> MoveTrace:
     h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
     h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]
     move = CutGlue(cut_spec(1, (h3, h4), (h2, h5), arc_vertex=h5), GlueSpec(1, (k4, h1)))
-    return record_trace(g, [move])[0]
+    return record_trace(g, [move])
 
 
 # ============================================================
@@ -654,8 +655,8 @@ def _rewrite_block(w: ColoredGraph, m: int, p_first: bool) -> Cert:
         k4 = frozenset((inner[p_ids[0]], inner[p_ids[1]], rew.n))
     else:
         rew, k4 = w, frozenset(p_ids)
-    trace = rewrite_TP1_to_P3(rew, seam_from_side(rew, k4))
-    node = TraceCert(trace, _iso_cert(apply_move(rew, trace.steps[0][0]), form_P(3)))
+    trace, p3 = rewrite_TP1_to_P3(rew, seam_from_side(rew, k4))
+    node = TraceCert(trace, _iso_cert(p3, form_P(3)))
     if m == 1:
         return node
     joined, close = _congruence(seam, tail, _iso_cert(tail, form_P(m - 1)),

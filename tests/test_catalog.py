@@ -93,9 +93,9 @@ def test_small_classes_match_the_generators():
 
 
 def test_bipartite_counts():
-    assert gs.count_bipartite_contracted(4) == 0
-    assert gs.count_bipartite_contracted(6) == 1
-    assert gs.count_bipartite_contracted(8) == 0
+    assert enumerate_contracted(4).bipartite_count == 0
+    assert enumerate_contracted(6).bipartite_count == 1
+    assert enumerate_contracted(8).bipartite_count == 0
 
 
 def test_torus_family_found():
@@ -106,13 +106,31 @@ def test_torus_family_found():
 
 
 def test_catalog_entries_valid():
-    for n in (2, 4, 6, 8):
+    for n in (2, 4, 6, 8, 10, 12):
         cat = enumerate_contracted(n)
         for e in cat.classes:
             assert gs.is_contracted(e.graph)
             assert e.euler_characteristic == 3 - n // 2
             assert e.form == gs.canonical_of(n, e.bipartite)
             assert gs.fingerprint(e.graph) == e.fingerprint
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_catalog_labels_each_class_once(monkeypatch, n):
+    """One canonical labeling per class, and none through ``moves.fingerprint``."""
+    labeled = []
+
+    def counted(g):
+        labeled.append(g.n)
+        return gs.core.canonical_graph(g)
+
+    def refused(g):
+        raise AssertionError("enumerate_contracted labeled a graph through moves")
+
+    monkeypatch.setattr(gs.catalog, "canonical_graph", counted)
+    monkeypatch.setattr(gs.moves, "canonical_graph", refused)
+    cat = enumerate_contracted(n)
+    assert labeled == [n] * len(cat.classes)
 
 
 def test_classes_pairwise_nonisomorphic():

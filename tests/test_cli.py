@@ -200,13 +200,29 @@ def test_verify_pure_trace(tmp_path, capsys):
 
 def test_apply_writes_final_graph(tmp_path, capsys):
     g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
-    trace = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
+    trace, _ = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
     gf = write(tmp_path, "g.gem", fileio.write_graph(g))
     tf = write(tmp_path, "g.trace", fileio.write_trace(trace))
     out = str(tmp_path / "final.gem")
     assert main(["apply", gf, tf, "-o", out]) == 0
     final = fileio.parse_graph((tmp_path / "final.gem").read_text())
     assert gs.are_isomorphic(final, gs.make_P(3)) is not None
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_apply_prints_the_checked_fingerprint(tmp_path, capsys, steps):
+    """apply prints the last checkpoint (or the header of an empty trace),
+    which equals the final graph's fingerprint."""
+    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    trace, final = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
+    if steps == 0:
+        trace, final = gs.MoveTrace(trace.initial, ()), g
+    gf = write(tmp_path, "g.gem", fileio.write_graph(g))
+    tf = write(tmp_path, "g.trace", fileio.write_trace(trace))
+    out = str(tmp_path / "final.gem")
+    assert main(["apply", gf, tf, "-o", out]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote n=8 graph to {out} (fingerprint {gs.fingerprint(final)})\n")
 
 
 def test_apply_rejects_certificate(tmp_path, capsys):

@@ -172,7 +172,7 @@ def rewrite_table(g) -> str:
     lines = []
     for seam in gs.find_seams(g):
         try:
-            out = _sha(fileio.write_trace(gs.rewrite_TP1_to_P3(g, seam)))
+            out = _sha(fileio.write_trace(gs.rewrite_TP1_to_P3(g, seam)[0]))
         except gs.GemError as exc:
             out = type(exc).__name__
         lines.append(f"{seam.edges} {out}")

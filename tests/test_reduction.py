@@ -253,8 +253,8 @@ def test_rewrite_all_weldings():
     for tv in range(1, 7):
         for pv in range(1, 5):
             g = gs.connected_sum(gs.make_T1(), tv, gs.make_P1(), pv)
-            trace = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset(range(1, 6))))
-            final = gs.verify_trace(g, trace)
+            trace, final = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset(range(1, 6))))
+            assert final == gs.verify_trace(g, trace)
             assert final.n == 8
             assert gs.are_isomorphic(final, p3) is not None
 
@@ -262,18 +262,32 @@ def test_rewrite_all_weldings():
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("p", [1, 2])
 def test_reduce_rewrites_once_per_torus_block(monkeypatch, p, k):
-    rewrite, calls = gs.reduction.rewrite_TP1_to_P3, []
+    """Each rewrite runs once, and ``reduce`` takes the graph it recorded.
+
+    So no ``apply_move`` call replays the rewrite's move on its 8-vertex
+    input.  The count is taken on those inputs, not on every 8-vertex
+    graph: a K4 split of an 8-vertex sum moves one too.
+    """
+    rewrite, apply_move = gs.reduction.rewrite_TP1_to_P3, gs.reduction.apply_move
+    inputs, replays = [], []
 
     def counted(g, seam):
-        calls.append(g.n)
+        inputs.append(g)
         return rewrite(g, seam)
 
+    def counted_apply(g, move):
+        if any(g is h for h in inputs):
+            replays.append(move)
+        return apply_move(g, move)
+
     monkeypatch.setattr(gs.reduction, "rewrite_TP1_to_P3", counted)
+    monkeypatch.setattr(gs.reduction, "apply_move", counted_apply)
     pk, tk = gs.make_P(p), gs.make_T(k)
     for v, w in ((1, 1), (pk.n, 1), (1, tk.n)):
-        calls.clear()
+        inputs.clear()
         assert gs.reduce(gs.connected_sum(pk, v, tk, w))[0] == form_P(p + 2 * k)
-        assert calls == [8] * k
+        assert [h.n for h in inputs] == [8] * k
+        assert replays == []
 
 
 def test_rewrite_rejects_wrong_graph():

@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""Time reduce + verify_certificate on seeded random contracted graphs.
+"""Time reduce + verify_certificate on seeded random or circulant contracted graphs.
 
-    PYTHONPATH=src python scripts/sweep_reduce.py [N ...]
+    PYTHONPATH=src python scripts/sweep_reduce.py [--family random|circ] [N ...]
 
-For each N (default 66 130 258 514 1026) and each parity allowed at N,
-one graph is drawn with ``random.Random(N)`` by the sampler of
-``tests/test_golden.py``; the form caches are emptied, then ``reduce``
-and ``verify_certificate`` are timed once each.  One JSON object per
-graph is printed, then, when at least two distinct sizes were run, the
-least-squares slope of log(reduce + verify seconds) against log(N) over
-all graphs (``fitted_exponent`` of ``gembench/graphs.py``).
+For each N (default 66 130 258 514 1026) one or two graphs are built.
+With ``--family random`` (the default), one graph per parity allowed at
+N is drawn with ``random.Random(N)`` by the sampler of
+``tests/test_golden.py``.  With ``--family circ``, the one graph is
+``circ(N, 3)`` of the same file, which is contracted only for N = 2 mod 4
+and then reduces to T((N - 2) / 4); its symmetric labelling is the slow
+case of the canonical encoder.  For each graph the form caches are
+emptied, then ``reduce`` and ``verify_certificate`` are timed once each.
+One JSON object per graph is printed, then, when at least two distinct
+sizes were run, the least-squares slope of log(reduce + verify seconds)
+against log(N) over all graphs (``fitted_exponent`` of
+``gembench/graphs.py``).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import sys
@@ -25,15 +31,29 @@ sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "gembench")]
 
 import gemsurf as gs  # noqa: E402
 from graphs import fitted_exponent  # noqa: E402
-from test_golden import random_contracted  # noqa: E402
+from test_golden import circ, random_contracted  # noqa: E402
+
+
+def family_graphs(family: str, n: int):
+    """Yield (bipartite, graph) for each graph of ``family`` at size n."""
+    if family == "circ":
+        g = circ(n, 3)
+        if not gs.is_contracted(g):
+            sys.exit(f"error: circ({n}, 3) is not contracted; it is for n = 2 mod 4")
+        yield True, g
+        return
+    for bipartite in (True, False) if n % 4 == 2 else (False,):
+        yield bipartite, random_contracted(random.Random(n), n, bipartite)
 
 
 def main(argv: list[str]) -> None:
-    sizes = [int(a) for a in argv] or [66, 130, 258, 514, 1026]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--family", choices=("random", "circ"), default="random")
+    parser.add_argument("sizes", nargs="*", type=int, default=[66, 130, 258, 514, 1026])
+    args = parser.parse_args(argv)
     points = []
-    for n in sizes:
-        for bipartite in (True, False) if n % 4 == 2 else (False,):
-            g = random_contracted(random.Random(n), n, bipartite)
+    for n in args.sizes:
+        for bipartite, g in family_graphs(args.family, n):
             gs.make_P.cache_clear()
             gs.make_T.cache_clear()
             t0 = time.perf_counter()

@@ -486,7 +486,14 @@ def _seam_from_triple(g: ColoredGraph, triple) -> Seam | None:
 
 
 def find_seams(g: ColoredGraph) -> list[Seam]:
-    """All seams of a connected graph, by brute force over (n/2)^3 triples."""
+    """All seams of a connected graph, by brute force over (n/2)^3 triples.
+
+    Part of the law-check API, with ``moves.enumerate_cut_specs`` and
+    ``moves.enumerate_glue_specs``: exhaustive enumerators for checking a
+    law of the calculus on every seam or move of a small graph.  Nothing in
+    ``reduce`` or ``verify`` calls them; those derive each seam they need
+    from a side or an edge triple.
+    """
     if not is_connected(g):
         raise GemError("seam search requires a connected graph")
     seams = []

@@ -7,6 +7,7 @@ machine-verified move traces.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .core import (
@@ -245,9 +246,24 @@ def _fingerprint_text(cg: ColoredGraph) -> str:
     return f"{cg.n}:" + ":".join(".".join(map(str, cg.matchings[c][1:])) for c in COLORS)
 
 
+# Fingerprints by ``g.matchings`` while one ``reduction.reduce`` call runs,
+# so its closing self-verify reads back what its splits labelled.  The key
+# is the exact labelled graph and ``canonical_graph`` is deterministic, so a
+# hit is the answer a second labelling would give.  A ContextVar keeps each
+# thread's and context's memo apart; outside ``reduce`` it holds None.
+_fingerprint_memo: ContextVar[dict | None] = ContextVar(
+    "gemsurf_fingerprint_memo", default=None)
+
+
 def fingerprint(g: ColoredGraph) -> str:
     """Collision-free canonical fingerprint: n and the canonical matchings."""
-    return _fingerprint_text(canonical_graph(g))
+    memo = _fingerprint_memo.get()
+    if memo is None:
+        return _fingerprint_text(canonical_graph(g))
+    fp = memo.get(g.matchings)
+    if fp is None:
+        fp = memo[g.matchings] = _fingerprint_text(canonical_graph(g))
+    return fp
 
 
 # ============================================================
@@ -308,12 +324,19 @@ def verify_trace(g0: ColoredGraph, trace: MoveTrace) -> ColoredGraph:
 
 
 # ============================================================
-# Exhaustive move enumeration (used by the desk-scale law checks)
+# Exhaustive move enumeration: the law-check API
 # ============================================================
+#
+# With ``core.find_seams``, these enumerators list every legal cut, glue
+# or seam of a graph, so that a law of the calculus can be checked on all
+# of them: a cut is undone by the glue at its fresh pair, and every cut or
+# glue keeps the Euler characteristic and bipartiteness.  Their cost grows
+# polynomially with n, so they serve small graphs; ``reduce`` and
+# ``verify`` never call them.
 
 
 def enumerate_cut_specs(g: ColoredGraph):
-    """All legal CutSpecs of g, one per (color, edge pair, arc) choice.
+    """All legal CutSpecs of g, one per (color, edge pair, arc) choice; law-check API.
 
     ``after`` maps each {a,b}-cycle edge, as (parity, u, v) with u < v, to its
     cycle and the vertex after it, where one arc of a cut at that edge starts.
@@ -338,7 +361,7 @@ def enumerate_cut_specs(g: ColoredGraph):
 
 
 def enumerate_glue_specs(g: ColoredGraph, cut_color: int):
-    """All legal GlueSpecs of g for the given chosen color."""
+    """All legal GlueSpecs of g for the given chosen color; part of the law-check API."""
     a, b = other_colors(cut_color)
     comp_of = {}
     for idx, cyc in enumerate(bicolored_cycles(g, a, b).cycles):

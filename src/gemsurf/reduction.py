@@ -36,6 +36,7 @@ from .moves import (
     CutGlue,
     GlueSpec,
     MoveTrace,
+    _fingerprint_memo,
     apply_move,
     cut_spec,
     fingerprint,
@@ -542,13 +543,19 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
     """Reduce a contracted graph to its normal form with a verified certificate."""
     if not is_contracted(g):
         raise ReductionError("reduction requires a contracted graph")
-    root = _reduce_node(g)
-    form = certificate_conclusion(root)
-    expected = canonical_of(g.n, is_bipartite(g) is not None)
-    if form != expected:
-        raise ReductionError(f"internal: reduced to {form}, expected {expected}")
-    cert = ReductionCertificate(form, root)
-    verify_certificate(g, cert)
+    # One fingerprint memo for this call: each labelled graph is labelled
+    # once, and the self-verify below replays every move through it.
+    token = _fingerprint_memo.set({})
+    try:
+        root = _reduce_node(g)
+        form = certificate_conclusion(root)
+        expected = canonical_of(g.n, is_bipartite(g) is not None)
+        if form != expected:
+            raise ReductionError(f"internal: reduced to {form}, expected {expected}")
+        cert = ReductionCertificate(form, root)
+        verify_certificate(g, cert)
+    finally:
+        _fingerprint_memo.reset(token)
     return form, cert
 
 

@@ -206,8 +206,7 @@ def random_contracted(rng, n: int, bipartite: bool):
     first end, so the {0,2}-subgraph is one cycle.  Draws are repeated until
     the {1,2}-subgraph is one cycle too and the bipartiteness is as asked.
     """
-    m0 = [0] + [u + 1 if u % 2 else u - 1 for u in range(1, n + 1)]
-    m1 = [0] + [u % n + 1 if u % 2 == 0 else (u - 2) % n + 1 for u in range(1, n + 1)]
+    m0, m1 = _standard_cycle(n)
     while True:
         starts = list(range(1, n, 2))
         rng.shuffle(starts)
@@ -219,6 +218,30 @@ def random_contracted(rng, n: int, bipartite: bool):
             g = graph_from_matchings(n, m0, m1, m2)
             if (gs.is_bipartite(g) is not None) == bipartite:
                 return _shuffled(g, rng)
+
+
+def _standard_cycle(n: int):
+    """Rows of the standard {0,1}-cycle: colour 0 on (u, u+1), u odd; colour 1 on the rest."""
+    m0 = [0] + [u + 1 if u % 2 else u - 1 for u in range(1, n + 1)]
+    m1 = [0] + [u % n + 1 if u % 2 == 0 else (u - 2) % n + 1 for u in range(1, n + 1)]
+    return m0, m1
+
+
+def circ(n: int, s: int):
+    """The circulant graph circ(n, s) on the standard {0,1}-cycle, s odd.
+
+    Colour 2 joins each odd i to ((i - 1 + s) mod n) + 1.  The graph is
+    bipartite; circ(n, 3) is contracted exactly when n = 2 mod 4, and then
+    reduces to T((n - 2) / 4).  Its symmetry makes many roots of the
+    canonical encoder tie over long prefixes, so it is a slow case for
+    ``reduce``, unlike ``random_contracted``.
+    """
+    m0, m1 = _standard_cycle(n)
+    m2 = [0] * (n + 1)
+    for i in range(1, n + 1, 2):
+        j = (i - 1 + s) % n + 1
+        m2[i], m2[j] = j, i
+    return graph_from_matchings(n, m0, m1, m2)
 
 
 def _walk_closes_at(n: int, ma, mb) -> bool:

@@ -5,9 +5,10 @@ import sys
 import pytest
 
 import gemsurf as gs
-from gemsurf import CertificateError, ReductionError, fileio
+from gemsurf import CertificateError, ReductionError, TraceError, fileio, moves
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.core import seam_from_side
+from gemsurf.moves import enumerate_cut_specs
 from gemsurf.reduction import (
     IsoCert,
     TraceCert,
@@ -18,7 +19,7 @@ from gemsurf.reduction import (
     form_T,
 )
 from gemsurf.surfaces import complex_stats
-from test_golden import random_contracted
+from test_golden import circ, random_contracted
 
 
 def chi(g):
@@ -400,6 +401,83 @@ def test_reduce_form_matches_invariants():
             assert target.n == e.graph.n
             assert chi(target) == chi(e.graph)
             assert (gs.is_bipartite(target) is not None) == e.bipartite
+
+
+# ============================================================
+# the fingerprint memo of one reduce call
+# ============================================================
+
+
+def _count_labellings(monkeypatch):
+    """Record the matchings of every graph ``moves`` hands to ``canonical_graph``."""
+    labelled = []
+    canonical_graph = moves.canonical_graph
+
+    def counted(g):
+        labelled.append(g.matchings)
+        return canonical_graph(g)
+
+    monkeypatch.setattr(moves, "canonical_graph", counted)
+    return labelled
+
+
+@pytest.mark.parametrize("g", [
+    random_contracted(random.Random(66), 66, True),
+    random_contracted(random.Random(66), 66, False),
+    gs.connected_sum(gs.make_T(15), 7, gs.make_P(2), 3),
+    circ(66, 3),
+], ids=["bipartite-n66", "nonbipartite-n66", "T15+P2", "circ66"])
+def test_reduce_labels_each_graph_once(monkeypatch, g):
+    """The self-verify replays every move, but labels no graph a second time."""
+    labelled = _count_labellings(monkeypatch)
+    gs.reduce(g)
+    assert labelled
+    assert len(labelled) == len(set(labelled))
+
+
+def _assert_memo_closed(g, labelled):
+    assert moves._fingerprint_memo.get() is None
+    labelled.clear()
+    assert gs.fingerprint(g) == gs.fingerprint(g)
+    assert labelled == [g.matchings] * 2
+
+
+def test_fingerprint_memo_ends_with_reduce(monkeypatch):
+    g = gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9)
+    labelled = _count_labellings(monkeypatch)
+    gs.reduce(g)
+    _assert_memo_closed(g, labelled)
+
+    flat = gs.validate(4, [(0, 1, 2), (0, 3, 4), (1, 1, 3), (1, 2, 4),
+                           (2, 1, 2), (2, 3, 4)])
+    with pytest.raises(ReductionError, match="contracted"):
+        gs.reduce(flat)
+    _assert_memo_closed(flat, labelled)
+
+    def failing_verify(g, cert):
+        assert moves._fingerprint_memo.get()  # open and filled by the splits
+        raise CertificateError("forced")
+
+    monkeypatch.setattr(gs.reduction, "verify_certificate", failing_verify)
+    with pytest.raises(CertificateError, match="forced"):
+        gs.reduce(g)
+    _assert_memo_closed(g, labelled)
+
+
+def test_open_memo_still_rejects_a_tampered_trace():
+    g = random_contracted(random.Random(30), 30, False)
+    first = next(enumerate_cut_specs(g))
+    second = next(enumerate_cut_specs(gs.simple_cut(g, first)))
+    token = moves._fingerprint_memo.set({})
+    try:
+        trace, _ = gs.record_trace(g, [gs.Cut(first), gs.Cut(second)])
+        gs.verify_trace(g, trace)  # every step's graph is in the memo now
+        (m1, fp1), (m2, fp2) = trace.steps
+        for bad_step, steps in ((1, ((m1, fp2), (m2, fp2))), (2, ((m1, fp1), (m2, fp1)))):
+            with pytest.raises(TraceError, match=f"step {bad_step}: fingerprint mismatch"):
+                gs.verify_trace(g, gs.MoveTrace(trace.initial, steps))
+    finally:
+        moves._fingerprint_memo.reset(token)
 
 
 # ============================================================

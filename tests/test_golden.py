@@ -13,10 +13,12 @@ of ``rewrite_TP1_to_P3`` at every seam of every torus # K4 welding.
 ``golden/large.json`` pins fingerprints where the corpus stops: seeded,
 relabelled random contracted graphs at n = 130, 258 and 514, the forms
 T(64), T(128), P(128), P(256) and a relabelled P(60) # T(30), simple cuts
-of large graphs, and a relabelled disjoint union of three components.
-Each case holds the sha256 of its graph file text (so the seeded inputs
-are pinned too) and of its fingerprint; the two n = 130 graphs also hold
-the sha256 of their certificate file and their reduced form.
+of large graphs, a relabelled disjoint union of three components, and the
+symmetric worst cases: relabelled ``circ(130, 3)`` and ``circ(258, 3)``
+and prisms at n = 512 and 2048.  Each case holds the sha256 of its graph
+file text (so the seeded inputs are pinned too) and of its fingerprint;
+the two random n = 130 graphs and ``circ(258, 3)`` also hold the sha256
+of their certificate file and their reduced form.
 
 To rebuild the three files after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -244,6 +246,20 @@ def circ(n: int, s: int):
     return graph_from_matchings(n, m0, m1, m2)
 
 
+def prism(k: int):
+    """The prism on n = 2k vertices, k even: two k-cycles joined by colour-2 rungs.
+
+    Vertices 1..k and k+1..2k each carry a standard {0,1}-cycle, and
+    colour 2 joins i to k + i.  The graph is vertex-transitive and not
+    contracted; every root of the canonical encoder ties every other in
+    full, so without orbit pruning its fingerprint costs time quadratic in n.
+    """
+    m0, m1 = _standard_cycle(k)
+    rows = [m0 + [v + k for v in m0[1:]], m1 + [v + k for v in m1[1:]]]
+    m2 = [0] + [i + k for i in range(1, k + 1)] + list(range(1, k + 1))
+    return graph_from_matchings(2 * k, *rows, m2)
+
+
 def _walk_closes_at(n: int, ma, mb) -> bool:
     """True iff the cycle of the ma, mb matchings through vertex 1 has all n vertices."""
     v, length = 1, 0
@@ -275,6 +291,11 @@ def large_graphs():
             graphs[f"cut{k + 1}-{source}"] = _shuffled(g, rng)
     graphs["union-n130-bip-twice-P64"] = _shuffled(_disjoint_union(
         graphs["random-n130-bip"], graphs["random-n130-bip"], gs.make_P(64)), rng)
+    rng = random.Random(2048)
+    for n in (130, 258):
+        graphs[f"circ-n{n}-s3"] = _shuffled(circ(n, 3), rng)
+    for n in (512, 2048):
+        graphs[f"prism-n{n}"] = _shuffled(prism(n // 2), rng)
     return graphs
 
 
@@ -289,7 +310,7 @@ def _disjoint_union(*parts):
     return graph_from_matchings(offset, *rows)
 
 
-REDUCED = ("random-n130-bip", "random-n130-nonbip")
+REDUCED = ("random-n130-bip", "random-n130-nonbip", "circ-n258-s3")
 
 
 def large_table() -> dict[str, dict[str, str]]:

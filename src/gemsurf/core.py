@@ -222,11 +222,39 @@ def _reach(g: ColoredGraph, start: int, seen: list[bool], triple=None) -> list[i
     return found
 
 
+def _components(g: ColoredGraph) -> list:
+    """The vertex lists of g's components, each ascending, by least vertex.
+
+    A component is a union of {0,1}-cycles joined by colour-2 edges, so it
+    is found by cycle walks, one per {0,1}-cycle.
+    """
+    m0, m1, m2 = g.matchings
+    comp = [0] * (g.n + 1)
+    count = 0
+    for v in range(1, g.n + 1):
+        if comp[v]:
+            continue
+        count += 1
+        members = _cycle(m0, m1, v)
+        for u in members:
+            comp[u] = count
+        for u in members:  # grows as cycles join
+            if not comp[m2[u]]:
+                cyc = _cycle(m0, m1, m2[u])
+                for w in cyc:
+                    comp[w] = count
+                members += cyc
+    if count == 1:
+        return [range(1, g.n + 1)]
+    comps = [[] for _ in range(count)]
+    for v in range(1, g.n + 1):
+        comps[comp[v] - 1].append(v)
+    return comps
+
+
 def connected_components(g: ColoredGraph) -> list[frozenset[int]]:
-    """Components of g, by least vertex; one seen-list across all walks keeps it linear."""
-    seen = [False] * (g.n + 1)
-    return [frozenset(_reach(g, start, seen))
-            for start in range(1, g.n + 1) if not seen[start]]
+    """Components of g, by least vertex."""
+    return [frozenset(c) for c in _components(g)]
 
 
 def is_connected(g: ColoredGraph) -> bool:
@@ -286,85 +314,169 @@ def is_bipartite(g: ColoredGraph) -> Bipartition | None:
 # ============================================================
 
 
-def _bfs_encoding(g: ColoredGraph, root: int, bound: tuple | None = None,
-                  exact: bool = False) -> tuple[tuple, list[int]] | None:
-    """Relabel root's component by first-visit order (neighbors in color order).
+# A walk from a root labels the root's component by first visit, taking
+# each visited vertex's neighbours in colour order.  It is held as its visit
+# order (order[i] is labelled i+1), a label list indexed by vertex (0 for
+# unvisited, reused across walks and zeroed through the visit order) and its
+# m0 row so far: entry i is the label of order[i]'s colour-0 neighbour,
+# fixed as soon as order[i] is reached.  A root's encoding is (size, m0,
+# m1, m2), the component's matchings in the new labels, each row listing
+# new labels 1..size in order.  Encodings compare by size, then m0, then
+# the m1 and m2 rows.
 
-    Returns ((size, m0, m1, m2), order): the matchings restricted to the
-    component in the new labels, each row listing new labels 1..size in
-    order, and the visit order (order[i] is labeled i+1).
 
-    With ``bound``, an encoding to compare against, the walk checks its m0
-    row while it goes.  Entry i is the label of order[i]'s color-0
-    neighbor, fixed as soon as order[i] is reached, so the walk returns
-    None once its m0 prefix is above bound's, or, with ``exact``, once it
-    differs from bound's.  Without ``exact``, bound must have the same size.
+def _step(m, lab, order, row0) -> bool:
+    """Take the walk's next step; False if it has ended."""
+    i = len(row0)
+    if i == len(order):
+        return False
+    u = order[i]
+    v = m[0][u]
+    x = lab[v]
+    if not x:
+        x = lab[v] = len(order) + 1
+        order.append(v)
+    row0.append(x)
+    v = m[1][u]
+    if not lab[v]:
+        lab[v] = len(order) + 1
+        order.append(v)
+    v = m[2][u]
+    if not lab[v]:
+        lab[v] = len(order) + 1
+        order.append(v)
+    return True
+
+
+def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int], int]:
+    """Walk root (rows ``m``, labels ``lab``) against the partial walk
+    (``order_b``, ``lab_b``, ``row0_b``) on rows ``mb``, comparing m0 rows
+    entry by entry and extending the other walk one step at a time, only
+    as far as the comparison reaches.
+
+    Returns (sign, order, i): sign < 0 if root's m0 row is below the
+    other's at entry i, > 0 if above, and 0 if the m0 rows and the sizes
+    agree in full (i is then the size).  A walk that ends first is below;
+    one that runs past the other's end is above.  A root that wins takes
+    its step i in full, so its walk can be extended later as the other
+    one can.
     """
-    m0, m1, m2 = g.matchings
-    label = {root: 1}
+    m0, m1, m2 = m
+    lab[root] = k = 1
     order = [root]
-    row0 = []
-    ref = bound[1] if bound is not None else None
-    size = len(ref) if ref is not None else 0
+    known = len(row0_b)
     for i, u in enumerate(order):
+        if i < known:
+            y = row0_b[i]
+        elif _step(mb, lab_b, order_b, row0_b):
+            y = row0_b[i]
+            known += 1
+        else:
+            return 1, order, i
         v = m0[u]
-        x = label.get(v)
-        if x is None:
-            x = label[v] = len(order) + 1
+        x = lab[v]
+        if not x:
+            k += 1
+            x = lab[v] = k
             order.append(v)
-        if ref is not None:
-            y = ref[i] if i < size else 0  # labels start at 1: past bound's end is above it
-            if x != y:
-                if exact or x > y:
-                    return None
-                ref = None  # below bound: the rest need not be compared
-        row0.append(x)
+        if x > y:
+            return 1, order, i
         v = m1[u]
-        if v not in label:
-            label[v] = len(order) + 1
+        if not lab[v]:
+            k += 1
+            lab[v] = k
             order.append(v)
         v = m2[u]
-        if v not in label:
-            label[v] = len(order) + 1
+        if not lab[v]:
+            k += 1
+            lab[v] = k
             order.append(v)
-    rows = (tuple(label[m1[u]] for u in order), tuple(label[m2[u]] for u in order))
-    return (len(order), tuple(row0), *rows), order
+        if x < y:
+            return -1, order, i
+    return (0 if len(order_b) == k else -1), order, k
+
+
+def _rows(m, lab, order) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The m1 and m2 rows of a finished walk."""
+    m1, m2 = m[1], m[2]
+    return tuple([lab[m1[u]] for u in order]), tuple([lab[m2[u]] for u in order])
+
+
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _join(parent: list[int], order_a, order_b) -> None:
+    """Merge the orbits of the automorphism order_a[k] -> order_b[k] in the
+    union-find ``parent``, which roots every class at its least vertex."""
+    for a, b in zip(order_a, order_b):
+        a, b = _find(parent, a), _find(parent, b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
 
 
 def canonical_graph(g: ColoredGraph) -> ColoredGraph:
     """The lexicographically least relabeling of g.
 
-    Per connected component, the encoding is taken from every vertex and
-    the least kept; components are then sorted and concatenated.  This is
-    a canonical labeling, so equality of canonical graphs is exactly
-    isomorphism.
+    Per connected component, the least encoding over all roots is kept;
+    components are then sorted and concatenated.  This is a canonical
+    labeling, so equality of canonical graphs is exactly isomorphism.
 
-    Roots are scanned in ascending order, so the first root of each
-    component is its least vertex, and that root's visit order is the
-    component.  Every later root of the component is walked against the
-    least encoding so far and dropped once its m0 prefix is larger.
-    Encodings compare by size (equal within a component), then the m0, m1
-    and m2 rows, so a dropped root's encoding is larger than the kept one
-    and the minimum is the one a full scan would keep; the m1 and m2 rows
-    decide only between roots whose m0 rows tie exactly.
+    The least walk so far is kept partial.  Each later root races it entry
+    by entry along the m0 rows, and the least walk is extended only when
+    the race reaches past its known prefix.  A root stops at its first
+    differing entry: above, it is dropped; below, its walk, stopped there,
+    becomes the least one.  The m1 and m2 rows are built only when two m0
+    rows tie in full, and for the final least walk.  A full tie of all
+    three rows means that zipping the two visit orders is an automorphism;
+    a union-find over these automorphisms skips every root whose orbit
+    already holds a scanned root, since roots in one orbit have equal
+    encodings.  The minimum of a set does not depend on scan order or on
+    how far a losing root is walked, so the result is the one a full walk
+    from every root would give.
     """
-    first_of = [0] * (g.n + 1)
-    least: dict[int, tuple] = {}
-    for root in range(1, g.n + 1):
-        first = first_of[root]
-        if not first:
-            least[root], comp = _bfs_encoding(g, root)
-            for v in comp:
-                first_of[v] = root
-            continue
-        found = _bfs_encoding(g, root, least[first])
-        if found is not None and found[0] < least[first]:
-            least[first] = found[0]
+    m = g.matchings
+    lab, spare = [0] * (g.n + 1), [0] * (g.n + 1)
+    parent = list(range(g.n + 1))  # parent[v] < v once v's orbit holds a lesser vertex
+    least = []
+    for comp in _components(g):
+        order, row0, rows = [comp[0]], [], None
+        lab[comp[0]] = 1
+        for root in comp[1:]:
+            if parent[root] != root:
+                continue
+            sign, cur, i = _race(m, spare, root, m, order, lab, row0)
+            if not sign:
+                rows = rows or _rows(m, lab, order)
+                cur_rows = _rows(m, spare, cur)
+                if cur_rows == rows:
+                    _join(parent, order, cur)
+                elif cur_rows < rows:
+                    sign, rows = -1, cur_rows
+            if sign < 0:  # root's walk becomes the least one
+                for v in order:
+                    lab[v] = 0
+                lab, spare, order = spare, lab, cur
+                if i < len(row0):  # won at m0 entry i: keep the shared prefix, then root's entry
+                    row0[i:] = [lab[m[0][cur[i]]]]
+                    rows = None
+            else:
+                for v in cur:
+                    spare[v] = 0
+        while _step(m, lab, order, row0):
+            pass
+        least.append((len(order), tuple(row0), *(rows or _rows(m, lab, order))))
+        for v in order:
+            lab[v] = 0
     rows: list[list[int]] = [[0], [0], [0]]
     offset = 0
-    for (k, *enc_rows) in sorted(least.values()):
+    for (k, *enc_rows) in sorted(least):
         for row, enc in zip(rows, enc_rows):
-            row.extend(offset + x for x in enc)
+            row.extend([offset + x for x in enc] if offset else enc)
         offset += k
     return graph_from_matchings(g.n, *rows)
 
@@ -376,28 +488,38 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
     components exactly when both encodings are equal, and it is then the
     zip of the two visit orders.  Components of g, by least vertex, each
     take the least unused such dst (greedy matching is safe: isomorphism
-    classes partition the components).  A candidate dst is dropped as soon
-    as its m0 prefix differs from root's, which only skips unequal
-    encodings, so the witness is the one a full scan would return.
+    classes partition the components).  Each candidate races root's walk
+    as ``canonical_graph``'s roots do, and any difference drops it, so the
+    witness is the one a full walk from every candidate would give.
     """
     if g.n != h.n:
         return None
+    lab_g, lab_h = [0] * (g.n + 1), [0] * (h.n + 1)
     mapping: dict[int, int] = {}
-    used: set[int] = set()
+    used = [False] * (h.n + 1)
     for root in range(1, g.n + 1):
         if root in mapping:
             continue
-        enc, order = _bfs_encoding(g, root)
+        order, row0, rows = [root], [], None
+        lab_g[root] = 1
         for dst in range(1, h.n + 1):
-            if dst not in used:
-                found = _bfs_encoding(h, dst, enc, exact=True)
-                if found is not None and found[0] == enc:
-                    break
+            if used[dst]:
+                continue
+            sign, image, _ = _race(h.matchings, lab_h, dst, g.matchings, order, lab_g, row0)
+            if not sign:
+                rows = rows or _rows(g.matchings, lab_g, order)
+                sign = _rows(h.matchings, lab_h, image) != rows
+            for v in image:
+                lab_h[v] = 0
+            if not sign:
+                break
         else:
             return None
-        image = found[1]
+        for v in order:
+            lab_g[v] = 0
         mapping.update(zip(order, image))
-        used.update(image)
+        for v in image:
+            used[v] = True
     return mapping
 
 

@@ -11,8 +11,9 @@ from gemsurf.catalog import (
     enumerate_contracted,
     parity_certificate,
 )
-from gemsurf.core import _bfs_encoding, graph_from_matchings
+from gemsurf.core import graph_from_matchings
 from gemsurf.reduction import form_P, form_T
+from test_core import full_encoding
 
 
 def all_involutions(vertices):
@@ -55,8 +56,8 @@ def test_orbit_sizes_sum_to_the_raw_row_count():
     for n in range(2, 13, 2):
         total = 0
         for e in enumerate_contracted(n).classes:
-            enc = _bfs_encoding(e.graph, 1)[0]
-            aut = sum(_bfs_encoding(e.graph, r)[0] == enc for r in range(1, n + 1))
+            enc = full_encoding(e.graph, 1)[0]
+            aut = sum(full_encoding(e.graph, r)[0] == enc for r in range(1, n + 1))
             assert n % aut == 0
             total += n // aut
         assert total == sum(1 for _ in _contracted_rows(n))

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import ValidationError
 from gemsurf.catalog import enumerate_contracted
-from gemsurf.core import _bfs_encoding, connected_components, graph_from_matchings
+from gemsurf.core import graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
+from test_golden import _disjoint_union, circ, prism, random_contracted
 
 T1_EDGES = [(0, 1, 2), (0, 3, 4), (0, 5, 6),
             (1, 2, 3), (1, 4, 5), (1, 6, 1),
@@ -200,16 +201,32 @@ def test_iso_disconnected():
 # pruned encoder against the full scan
 # ============================================================
 #
-# canonical_graph and are_isomorphic drop a root or a candidate as soon as
-# its m0 prefix loses; the references below walk every root to the end.
+# canonical_graph and are_isomorphic stop a root or a candidate at its first
+# differing m0 entry and skip roots by orbit; the references below are a
+# plain dict walk from every root, each taken to its end.
+
+
+def full_encoding(g, root):
+    """Root's component labelled by first visit, neighbours in colour order:
+    ((size, m0, m1, m2), visit order)."""
+    label, order = {root: 1}, [root]
+    for u in order:
+        for m in g.matchings:
+            if m[u] not in label:
+                label[m[u]] = len(order) + 1
+                order.append(m[u])
+    return (len(order), *(tuple(label[m[u]] for u in order) for m in g.matchings)), order
 
 
 def unpruned_canonical(g):
-    encs = sorted(min(_bfs_encoding(g, root)[0] for root in sorted(comp))
-                  for comp in connected_components(g))
+    least = {}
+    for root in range(1, g.n + 1):
+        enc, order = full_encoding(g, root)
+        key = min(order)
+        least[key] = min(least.get(key, enc), enc)
     rows = [[0], [0], [0]]
     offset = 0
-    for (k, *enc_rows) in encs:
+    for (k, *enc_rows) in sorted(least.values()):
         for row, enc in zip(rows, enc_rows):
             row.extend(offset + x for x in enc)
         offset += k
@@ -223,10 +240,10 @@ def unpruned_witness(g, h):
     for root in range(1, g.n + 1):
         if root in mapping:
             continue
-        enc, order = _bfs_encoding(g, root)
+        enc, order = full_encoding(g, root)
         for dst in range(1, h.n + 1):
             if dst not in used:
-                h_enc, image = _bfs_encoding(h, dst)
+                h_enc, image = full_encoding(h, dst)
                 if h_enc == enc:
                     break
         else:
@@ -238,22 +255,24 @@ def unpruned_witness(g, h):
 
 def copies(g, k):
     """k disjoint copies of g, the i-th on vertices i*n+1 .. (i+1)*n."""
-    rows = [[0], [0], [0]]
-    for i in range(k):
-        for row, m in zip(rows, g.matchings):
-            row.extend(i * g.n + v for v in m[1:])
-    return graph_from_matchings(k * g.n, *rows)
+    return _disjoint_union(*[g] * k)
 
 
 def tie_heavy_graphs():
-    """Inputs whose roots tie on long m0 prefixes: unions of equal components,
-    every catalog class at n <= 10, and simple cuts, each also relabelled."""
+    """Inputs whose roots tie on long m0 prefixes or in full: unions of equal
+    components, every catalog class at n <= 10, simple cuts, the symmetric
+    circ(66, 3), circ(130, 3), prisms, T(5) and P(9), and a prism beside a
+    random graph twice, each also relabelled."""
     rng = random.Random(11)
     graphs = [copies(g, k) for g in (gs.make_L(), gs.make_P1(), gs.make_T1())
               for k in (2, 3, 5)]
     graphs += [e.graph for n in range(2, 11, 2) for e in enumerate_contracted(n).classes]
     for source in (gs.make_T(2), gs.make_P(3), copies(gs.make_P1(), 2)):
         graphs += [gs.simple_cut(source, spec) for spec in enumerate_cut_specs(source)][::3]
+    graphs += [circ(66, 3), circ(130, 3), gs.make_T(5), gs.make_P(9)]
+    graphs += [prism(k) for k in range(4, 33, 2)]
+    other = random_contracted(rng, 30, False)
+    graphs.append(_disjoint_union(prism(8), other, other))
     return graphs + [gs.relabel(g, random_relabeling(g, rng)) for g in graphs]
 
 
@@ -263,6 +282,31 @@ def test_canonical_graph_matches_full_scan_on_ties():
     assert any(not gs.is_contracted(g) for g in graphs)
     for g in graphs:
         assert gs.canonical_graph(g) == unpruned_canonical(g)
+
+
+def random_matchings_graph(rng, n):
+    """Three independent random perfect matchings on 1..n: multi-edges and
+    several components are common."""
+    rows = []
+    for _ in range(3):
+        vs = list(range(1, n + 1))
+        rng.shuffle(vs)
+        row = [0] * (n + 1)
+        for u, v in zip(vs[::2], vs[1::2]):
+            row[u], row[v] = v, u
+        rows.append(row)
+    return graph_from_matchings(n, *rows)
+
+
+def test_encoder_matches_full_scan_on_random_matchings():
+    rng = random.Random(40)
+    graphs = [random_matchings_graph(rng, rng.randrange(2, 41, 2)) for _ in range(300)]
+    assert any(not gs.is_connected(g) for g in graphs)
+    assert any(not g.is_simple() for g in graphs)
+    for g in graphs:
+        assert gs.canonical_graph(g) == unpruned_canonical(g)
+        h = gs.relabel(g, random_relabeling(g, rng))
+        assert gs.are_isomorphic(g, h) == unpruned_witness(g, h)
 
 
 def test_are_isomorphic_witness_matches_full_scan():

@@ -345,6 +345,15 @@ def test_reduce_and_verify_at_n514(bipartite):
     assert gs.verify_certificate(g, fileio.parse_certificate(text)) == form
 
 
+@pytest.mark.slow
+def test_reduce_and_verify_circ_n514():
+    g = circ(514, 3)
+    form, cert = gs.reduce(g)
+    assert str(form) == "T(128)"
+    text = fileio.write_certificate(g, cert)
+    assert gs.verify_certificate(g, fileio.parse_certificate(text)) == form
+
+
 if __name__ == "__main__":
     corpus = {name: {"gem": text, **outputs(text)[2]} for name, text in inputs().items()}
     CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n")

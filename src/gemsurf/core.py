@@ -236,6 +236,8 @@ def _components(g: ColoredGraph) -> list:
             continue
         count += 1
         members = _cycle(m0, m1, v)
+        if len(members) == g.n:  # a Hamiltonian {0,1}-cycle, as in every contracted graph
+            return [range(1, g.n + 1)]
         for u in members:
             comp[u] = count
         for u in members:  # grows as cycles join
@@ -357,9 +359,10 @@ def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int]
     Returns (sign, order, i): sign < 0 if root's m0 row is below the
     other's at entry i, > 0 if above, and 0 if the m0 rows and the sizes
     agree in full (i is then the size).  A walk that ends first is below;
-    one that runs past the other's end is above.  A root that wins takes
-    its step i in full, so its walk can be extended later as the other
-    one can.
+    one that runs past the other's end is above.  A race that stops at
+    entry i has taken root's steps before i and labelled order[i]'s
+    colour-0 neighbour, so ``_step`` resumes root's walk with row
+    ``row0_b[:i]``.
     """
     m0, m1, m2 = m
     lab[root] = k = 1
@@ -379,8 +382,8 @@ def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int]
             k += 1
             x = lab[v] = k
             order.append(v)
-        if x > y:
-            return 1, order, i
+        if x != y:
+            return x - y, order, i
         v = m1[u]
         if not lab[v]:
             k += 1
@@ -391,8 +394,6 @@ def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int]
             k += 1
             lab[v] = k
             order.append(v)
-        if x < y:
-            return -1, order, i
     return (0 if len(order_b) == k else -1), order, k
 
 
@@ -419,6 +420,38 @@ def _join(parent: list[int], order_a, order_b) -> None:
             parent[a] = b
 
 
+def _m0_entry2(g: ColoredGraph) -> list[int] | None:
+    """Entry 2 of every root's m0 row, read off the root's neighbourhood
+    without a walk, indexed by root; None if g has a parallel edge.
+
+    Entries 0 and 1 are 2 and 1 from every root, so entry 2 is the first
+    that can tell roots apart.  In a simple graph the walk from r labels
+    r, a = m0[r], b = m1[r] and c = m2[r] as 1..4, then d = m1[a], which is
+    c or new, and e = m2[a], which is b or new; entry 2 is the label of
+    f = m0[b], which is c, d, e or a new vertex.
+    """
+    m0, m1, m2 = g.matchings
+    entry2 = [0] * (g.n + 1)
+    for r in range(1, g.n + 1):
+        a, b, c = m0[r], m1[r], m2[r]
+        if a == b or a == c or b == c:
+            return None
+        d, e, f = m1[a], m2[a], m0[b]
+        if f == c:
+            entry2[r] = 4
+            continue
+        x = 5  # the first label after c
+        if d != c:
+            if f == d:
+                entry2[r] = 5
+                continue
+            x = 6
+        if e != b and f != e:
+            x += 1
+        entry2[r] = x
+    return entry2
+
+
 def canonical_graph(g: ColoredGraph) -> ColoredGraph:
     """The lexicographically least relabeling of g.
 
@@ -435,19 +468,23 @@ def canonical_graph(g: ColoredGraph) -> ColoredGraph:
     three rows means that zipping the two visit orders is an automorphism;
     a union-find over these automorphisms skips every root whose orbit
     already holds a scanned root, since roots in one orbit have equal
-    encodings.  The minimum of a set does not depend on scan order or on
-    how far a losing root is walked, so the result is the one a full walk
-    from every root would give.
+    encodings.  In a simple graph, a root whose m0 entry 2, read off its
+    neighbourhood, is above the least over its component is not walked at
+    all.  The minimum of a set does not depend on scan order or on how far
+    a losing root is walked, so the result is the one a full walk from
+    every root would give.
     """
     m = g.matchings
     lab, spare = [0] * (g.n + 1), [0] * (g.n + 1)
     parent = list(range(g.n + 1))  # parent[v] < v once v's orbit holds a lesser vertex
+    entry2 = _m0_entry2(g)
     least = []
     for comp in _components(g):
+        low = min(map(entry2.__getitem__, comp)) if entry2 else 0
         order, row0, rows = [comp[0]], [], None
         lab[comp[0]] = 1
         for root in comp[1:]:
-            if parent[root] != root:
+            if parent[root] != root or (entry2 and entry2[root] > low):
                 continue
             sign, cur, i = _race(m, spare, root, m, order, lab, row0)
             if not sign:
@@ -461,8 +498,8 @@ def canonical_graph(g: ColoredGraph) -> ColoredGraph:
                 for v in order:
                     lab[v] = 0
                 lab, spare, order = spare, lab, cur
-                if i < len(row0):  # won at m0 entry i: keep the shared prefix, then root's entry
-                    row0[i:] = [lab[m[0][cur[i]]]]
+                if i < len(row0):  # won at m0 entry i: keep the shared prefix
+                    del row0[i:]
                     rows = None
             else:
                 for v in cur:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import ValidationError
 from gemsurf.catalog import enumerate_contracted
-from gemsurf.core import graph_from_matchings
+from gemsurf.core import _m0_entry2, graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
 from test_golden import _disjoint_union, circ, prism, random_contracted
 
@@ -300,13 +300,28 @@ def random_matchings_graph(rng, n):
 
 def test_encoder_matches_full_scan_on_random_matchings():
     rng = random.Random(40)
-    graphs = [random_matchings_graph(rng, rng.randrange(2, 41, 2)) for _ in range(300)]
+    graphs = [random_matchings_graph(rng, rng.randrange(2, 41, 2)) for _ in range(600)]
     assert any(not gs.is_connected(g) for g in graphs)
-    assert any(not g.is_simple() for g in graphs)
+    assert 100 <= sum(g.is_simple() for g in graphs) <= 500
     for g in graphs:
         assert gs.canonical_graph(g) == unpruned_canonical(g)
         h = gs.relabel(g, random_relabeling(g, rng))
         assert gs.are_isomorphic(g, h) == unpruned_witness(g, h)
+
+
+def test_m0_entry2_matches_the_full_walk():
+    # canonical_graph skips a root of a simple graph whose entry 2 is above
+    # the least; the entry must be exactly the one the full walk finds.
+    rng = random.Random(41)
+    graphs = [g for g in tie_heavy_graphs() if g.is_simple()]
+    graphs += [g for g in (random_matchings_graph(rng, rng.randrange(4, 41, 2))
+                           for _ in range(600)) if g.is_simple()]
+    assert len(graphs) > 300
+    for g in graphs:
+        want = [full_encoding(g, root)[0][1][2] for root in range(1, g.n + 1)]
+        assert _m0_entry2(g)[1:] == want
+    assert _m0_entry2(copies(gs.make_T1(), 2)) is not None
+    assert _m0_entry2(gs.make_L()) is None
 
 
 def test_are_isomorphic_witness_matches_full_scan():

@@ -545,10 +545,10 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
             sign, image, _ = _race(h.matchings, lab_h, dst, g.matchings, order, lab_g, row0)
             if not sign:
                 rows = rows or _rows(g.matchings, lab_g, order)
-                sign = _rows(h.matchings, lab_h, image) != rows
+            found = not sign and _rows(h.matchings, lab_h, image) == rows
             for v in image:
                 lab_h[v] = 0
-            if not sign:
+            if found:
                 break
         else:
             return None

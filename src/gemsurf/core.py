@@ -267,19 +267,12 @@ def is_connected(g: ColoredGraph) -> bool:
 # Bipartiteness
 # ============================================================
 
-BLACK = "black"
-WHITE = "white"
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """A 2-coloring of the vertices, normalized so vertex 1 is black."""
 
     blacks: frozenset[int]
     whites: frozenset[int]
-
-    def type_of(self, v: int) -> str:
-        return BLACK if v in self.blacks else WHITE
 
 
 def is_bipartite(g: ColoredGraph) -> Bipartition | None:
@@ -572,23 +565,16 @@ def renumbering(n: int, removed) -> dict[int, int]:
     return {v: new for new, v in enumerate(kept, start=1)}
 
 
-def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int,
-                  enforce_type_rule: bool = False) -> ColoredGraph:
+def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> ColoredGraph:
     """Delete v1 from g1 and v2 from g2 and weld the dangling ends color by color.
 
     Vertices of g1 except v1 keep their order (renumbered 1..n1-1), g2's
-    follow.  With ``enforce_type_rule`` and both graphs bipartite, v1 and
-    v2 must be of different types under each graph's own normalization.
+    follow.  Any two vertices are welded: no type rule is checked here.
     """
     if not 1 <= v1 <= g1.n:
         raise GemError(f"vertex {v1} not in first summand")
     if not 1 <= v2 <= g2.n:
         raise GemError(f"vertex {v2} not in second summand")
-    if enforce_type_rule:
-        b1, b2 = is_bipartite(g1), is_bipartite(g2)
-        if b1 is not None and b2 is not None and b1.type_of(v1) == b2.type_of(v2):
-            raise GemError(
-                f"type rule violated: vertices {v1} and {v2} are both {b1.type_of(v1)}")
     r1 = renumbering(g1.n, (v1,))
     r2 = {u: new + (g1.n - 1) for u, new in renumbering(g2.n, (v2,)).items()}
     n = g1.n + g2.n - 2

@@ -27,11 +27,12 @@ once comments and blank lines are dropped and runs of spaces become one; a
 graph file comes back with the same set of edge lines.
 
 Certificate nodes carry the fingerprints their compose records print, so
-``write_certificate`` only serializes: it fingerprints the input graph
-once, for the root header, and replays nothing.  The writer walks the block
-tree with an explicit stack, and the parser runs on ``reduction._drive``, the
-driver ``verify_certificate`` uses, so deep nesting costs no Python
-recursion.
+``write_certificate`` only serializes and replays nothing; the root header
+is the root trace's initial fingerprint, and only a root that is no trace
+(from ``reduce``, n <= 6) needs ``fingerprint(g)``.  The writer walks the
+block tree with an explicit stack, and the parser runs on
+``reduction._drive``, the driver ``verify_certificate`` uses, so deep
+nesting costs no Python recursion.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .moves import (
     Interchange,
     Move,
     MoveTrace,
-    fingerprint,
     other_colors,
 )
 from .reduction import (
@@ -58,6 +58,7 @@ from .reduction import (
     ReductionCertificate,
     TraceCert,
     _drive,
+    _fingerprint_of,
     certificate_conclusion,
     parse_form_token,
 )
@@ -347,11 +348,10 @@ def _parse_mapping(ln: int, text: str) -> tuple[tuple[int, int], ...]:
 def write_certificate(g: ColoredGraph, cert: ReductionCertificate) -> str:
     """Serialize a certificate against its concrete input graph.
 
-    Only the root header needs ``fingerprint(g)``; every other fingerprint
-    is carried by the certificate's own records.
+    The records carry every fingerprint but the header of a non-trace root.
     """
     blocks: list[str] = []
-    todo = [(fingerprint(g), cert.root)]  # (header, node) blocks, next one last
+    todo = [(_fingerprint_of(g, cert.root), cert.root)]  # (header, node) blocks, next one last
     while todo:
         header, node = todo.pop()
         lines = [f"trace {VERSION} {header}"]

@@ -229,7 +229,8 @@ def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredG
         raise MoveError(f"vertex {v_new} not in the second summand")
     b1, b2 = is_bipartite(g1), is_bipartite(g2)
     if b1 is not None and b2 is not None and (
-            (b1.type_of(u_new) == b1.type_of(a1)) != (b2.type_of(v_new) == b2.type_of(a2))):
+            ((u_new in b1.blacks) == (a1 in b1.blacks))
+            != ((v_new in b2.blacks) == (a2 in b2.blacks))):
         raise MoveError(
             f"type rule violated: replacement vertices {u_new} and {v_new} "
             "are of the same type")

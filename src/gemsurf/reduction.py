@@ -156,10 +156,8 @@ def make_P(m: int) -> ColoredGraph:
 def make_T(m: int) -> ColoredGraph:
     """Connected sum of m copies of the torus graph, accumulated left to right.
 
-    Welds pair the accumulator's highest vertex with vertex 1 of the fresh
-    copy; the different-types rule holds at every step.  (Each copy keeps
-    its own 2-coloring in the sum, so the highest vertex is always a copy's
-    vertex 6, which is white, and it meets vertex 1, which is black.)
+    Welds pair the accumulator's highest vertex, which is even, with vertex
+    1 of the fresh copy, so ``_weld``'s type rule holds at every step.
     """
     if m < 1:
         raise ReductionError("T(m) requires m >= 1")
@@ -193,6 +191,20 @@ def realize(form: CanonicalForm) -> ColoredGraph:
     if form.kind == "P":
         return make_P(form.m)
     return make_T(form.m)
+
+
+def _weld(f_a: CanonicalForm, a: int, f_b: CanonicalForm, b: int) -> ColoredGraph:
+    """connected_sum(realize(f_a), a, realize(f_b), b); unless a form is a P,
+    a and b must differ in type.  A bipartite normal form is 2-coloured by
+    vertex parity, odd vertices black: L has vertices 1 and 2, each edge of
+    T1 joins an odd and an even vertex, and ``_chain`` shifts each block by
+    the even n-2 and joins the deleted highest vertex's odd neighbours to
+    the block's vertex-1 neighbours, which are even."""
+    joined = connected_sum(realize(f_a), a, realize(f_b), b)
+    if "P" not in (f_a.kind, f_b.kind) and a % 2 == b % 2:
+        raise GemError(f"type rule violated: vertices {a} and {b} are both "
+                       f"{'black' if a % 2 else 'white'}")
+    return joined
 
 
 def canonical_of(n: int, bipartite: bool) -> CanonicalForm:
@@ -299,8 +311,8 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
 
     Leaf traces are replayed, isomorphism witnesses re-checked edge by
     edge, every compose seam re-derived from its edge triple before its
-    summands are built, and every recombined graph rebuilt with the type
-    rule enforced.
+    summands are built, and every recombined graph rebuilt by ``_weld``
+    under the type rule.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
@@ -326,8 +338,7 @@ def _verify_node(g: ColoredGraph, node: Cert):
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
             try:
-                g = connected_sum(realize(f_a), node.weld_a, realize(f_b), node.weld_b,
-                                  enforce_type_rule=True)
+                g = _weld(f_a, node.weld_a, f_b, node.weld_b)
             except GemError as exc:
                 raise CertificateError(f"illegal recombination weld: {exc}") from exc
         else:
@@ -571,8 +582,8 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
     Returns the canonical welding of both conclusions and a function that
     closes the record once ``rest`` certifies that welding.  A P form is
     welded at its vertex 1 to a T form's highest vertex; otherwise the
-    first form's highest vertex (white, for T) meets the second's vertex 1
-    (black).
+    first form's highest vertex, which is even, meets the second's vertex
+    1, which is odd, so ``_weld``'s type rule holds.
     """
     g_a, left, g_b, right = (x, x_cert, y, y_cert) if x_is_a else (y, y_cert, x, x_cert)
     f_a, f_b = certificate_conclusion(left), certificate_conclusion(right)
@@ -580,8 +591,7 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
         welds = (1, f_b.vertex_count)
     else:
         welds = (f_a.vertex_count, 1)
-    joined = connected_sum(realize(f_a), welds[0], realize(f_b), welds[1],
-                           enforce_type_rule=True)
+    joined = _weld(f_a, welds[0], f_b, welds[1])
     edges = seam.edges  # not the seam, which keeps the graph it cut alive
 
     def close(rest: Cert) -> RecombineCert:

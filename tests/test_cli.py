@@ -371,16 +371,17 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
-def _trivial_seam_certificate(records, nested):
-    """A valid T(1) certificate with ``records`` compose records on the trivial
-    seam at vertex 6, each splitting off L and welding it back.
+def _trivial_seam_certificate(records, nested, weld="6-1"):
+    """A T(1) certificate with ``records`` compose records on the trivial
+    seam at vertex 6, each splitting off L and welding it back at ``weld``;
+    it is valid at the default weld.
 
     Chained, the records follow each other in the root block; nested, each
     record's left summand block holds the next one.
     """
     t1 = gs.fingerprint(gs.make_T1())
     compose = (f"compose left={t1} right={gs.fingerprint(gs.make_L())} "
-               f"seam=0:5-6,1:1-6,2:3-6 weld=6-1 -> {t1}")
+               f"seam=0:5-6,1:1-6,2:3-6 weld={weld} -> {t1}")
     conclude_t1 = "conclude T1 map=" + ",".join(f"{u}-{u}" for u in range(1, 7))
     t1_block = f"trace 1 {t1}\n{conclude_t1}"
     l_block = f"trace 1 {gs.fingerprint(gs.make_L())}\nconclude L map=1-1,2-2"
@@ -398,3 +399,18 @@ def test_verify_deep_valid_certificate(tmp_path, capsys, nested):
     cf = write(tmp_path, "deep.cert", _trivial_seam_certificate(1500, nested))
     assert main(["verify", t1_file(tmp_path), cf]) == 0
     assert capsys.readouterr().out == "verified: T(1)\n"
+
+
+@pytest.mark.parametrize("weld, error", [
+    ("6-1", ""),
+    ("6-2", "type rule violated: vertices 6 and 2 are both white"),
+    ("5-1", "type rule violated: vertices 5 and 1 are both black"),
+])
+def test_verify_checks_the_weld_type_rule(tmp_path, capsys, weld, error):
+    cf = write(tmp_path, "weld.cert", _trivial_seam_certificate(1, False, weld))
+    assert main(["verify", t1_file(tmp_path), cf]) == (1 if error else 0)
+    out, err = capsys.readouterr()
+    if error:
+        assert err == f"verification failed: illegal recombination weld: {error}\n"
+    else:
+        assert out == "verified: T(1)\n"

@@ -367,10 +367,17 @@ def test_sum_of_contracted_is_contracted():
 
 
 def test_sum_type_rule():
+    # connected_sum welds any pair; reduction's welding of normal forms
+    # reads the type rule off vertex parity, odd vertices black.
     t1 = gs.make_T1()
-    with pytest.raises(gs.GemError, match="type rule"):
-        gs.connected_sum(t1, 6, t1, 2, enforce_type_rule=True)
-    assert gs.connected_sum(t1, 6, t1, 1, enforce_type_rule=True).n == 10
+    assert gs.connected_sum(t1, 6, t1, 2).n == 10
+    weld = gs.reduction._weld
+    with pytest.raises(gs.GemError, match="vertices 6 and 2 are both white"):
+        weld(gs.form_T(1), 6, gs.form_T(1), 2)
+    with pytest.raises(gs.GemError, match="vertices 5 and 1 are both black"):
+        weld(gs.form_T(1), 5, gs.form_L(), 1)
+    assert weld(gs.form_T(1), 6, gs.form_T(1), 1) == gs.connected_sum(t1, 6, t1, 1)
+    assert weld(gs.form_T(1), 5, gs.form_P(1), 1).n == 8
 
 
 def test_sum_bad_vertex():

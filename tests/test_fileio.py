@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gemsurf as gs
-from gemsurf import fileio
+from gemsurf import fileio, moves
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.cli import main
 from gemsurf.core import seam_from_side
 from gemsurf.fileio import FormatError
 from gemsurf.moves import GlueSpec, enumerate_cut_specs, enumerate_glue_specs
+from test_golden import random_contracted
 
 
 # ============================================================
@@ -186,15 +187,20 @@ def test_certificate_tamper_caught_at_verify():
     gs.connected_sum(gs.make_T(3), 7, gs.make_P(4), 2),
     gs.connected_sum(gs.make_T(2), 10, gs.make_T(3), 1),
     gs.make_P(9),
-], ids=["P1+T2", "T3+P4", "T2+T3", "P9"])
+    random_contracted(random.Random(66), 66, False),
+    gs.make_T1(),
+], ids=["P1+T2", "T3+P4", "T2+T3", "P9", "n66", "T1"])
 def test_write_certificate_fingerprints_only_the_root(monkeypatch, g):
+    """The writer labels no graph, except the input of a certificate whose
+    root is not a trace: for ``reduce``, an input of at most 6 vertices."""
     _, cert = gs.reduce(g)
-    real = fileio.fingerprint
-    calls = []
-    monkeypatch.setattr(fileio, "fingerprint", lambda h: calls.append(h) or real(h))
+    real = moves.canonical_graph
+    labelled = []
+    monkeypatch.setattr(moves, "canonical_graph", lambda h: labelled.append(h) or real(h))
     text = fileio.write_certificate(g, cert)
-    assert calls == [g]
-    assert text.startswith(f"trace 1 {real(g)}\n")
+    assert labelled == ([g] if g.n <= 6 else [])
+    monkeypatch.undo()
+    assert text.startswith(f"trace 1 {gs.fingerprint(g)}\n")
 
 
 def _nested_certificate(g, depth):

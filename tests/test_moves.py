@@ -332,7 +332,7 @@ def test_interchange_p1p1_all_choices_give_p2():
 
 
 def test_interchange_identity():
-    g = gs.connected_sum(gs.make_T1(), 6, gs.make_T1(), 1, enforce_type_rule=True)
+    g = gs.connected_sum(gs.make_T1(), 6, gs.make_T1(), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper and len(s.side_a) == 5)
     g1, a1, g2, a2 = gs.extract_summands(g, seam)
     h = gs.interchange(g, seam, a1, a2)
@@ -342,7 +342,7 @@ def test_interchange_identity():
 def test_interchange_type_rule_split():
     # Both summands bipartite: exactly the opposite-type pairs are legal,
     # with types anchored to the parent graph's bipartition.
-    g = gs.connected_sum(gs.make_T1(), 6, gs.make_T1(), 1, enforce_type_rule=True)
+    g = gs.connected_sum(gs.make_T1(), 6, gs.make_T1(), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper and len(s.side_a) == 5)
     legal = illegal = 0
     for u_new in range(1, 7):

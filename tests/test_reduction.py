@@ -13,6 +13,7 @@ from gemsurf.reduction import (
     IsoCert,
     TraceCert,
     _choose_anchor,
+    _weld,
     certificate_conclusion,
     form_L,
     form_P,
@@ -67,18 +68,27 @@ def test_family_bad_index():
         gs.make_T(0)
 
 
-def left_fold(block, k, **kwargs):
+def left_fold(block, k):
     """k copies of block, each welded at the accumulator's last vertex and its vertex 1."""
     g = block
     for _ in range(k - 1):
-        g = gs.connected_sum(g, g.n, block, 1, **kwargs)
+        g = gs.connected_sum(g, g.n, block, 1)
     return g
 
 
 def test_families_equal_the_left_fold():
     for k in range(1, 21):
         assert gs.make_P(k) == left_fold(gs.make_P1(), k)
-        assert gs.make_T(k) == left_fold(gs.make_T1(), k, enforce_type_rule=True)
+        assert gs.make_T(k) == left_fold(gs.make_T1(), k)
+
+
+def test_bipartite_forms_are_coloured_by_vertex_parity():
+    """``_weld`` reads the type rule off vertex parity: odd vertices are black."""
+    for form in [form_L()] + [form_T(m) for m in range(1, 41)]:
+        g = gs.realize(form)
+        assert gs.is_bipartite(g).blacks == frozenset(range(1, g.n + 1, 2))
+    for m in range(1, 41):
+        assert gs.is_bipartite(gs.make_P(m)) is None
 
 
 def test_families_build_without_deep_recursion():
@@ -102,10 +112,9 @@ def test_sum_additivity_of_families():
         for j in (1, 2, 3):
             if i + j > 4:
                 continue
-            p = gs.connected_sum(gs.make_P(i), gs.make_P(i).n, gs.make_P(j), 1)
+            p = _weld(form_P(i), 2 * i + 2, form_P(j), 1)
             assert gs.are_isomorphic(p, gs.make_P(i + j)) is not None
-            t = gs.connected_sum(gs.make_T(i), gs.make_T(i).n, gs.make_T(j), 1,
-                                 enforce_type_rule=True)
+            t = _weld(form_T(i), 4 * i + 2, form_T(j), 1)
             assert gs.are_isomorphic(t, gs.make_T(i + j)) is not None
 
 
@@ -433,6 +442,21 @@ def test_reduce_labels_each_graph_once(monkeypatch, g):
     gs.reduce(g)
     assert labelled
     assert len(labelled) == len(set(labelled))
+
+
+def test_verify_welds_forms_without_two_colouring(monkeypatch):
+    """Each compose record re-welds two realized forms; the type rule is read
+    off their vertex parity, so verifying 2-colours no graph."""
+    g = gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2)
+    form, cert = gs.reduce(g)
+    assert form == form_P(15)
+
+    def refused(h):
+        raise AssertionError(f"is_bipartite called on {h.n} vertices")
+
+    for module in (gs.core, moves, gs.reduction):
+        monkeypatch.setattr(module, "is_bipartite", refused)
+    assert gs.verify_certificate(g, cert) == form
 
 
 def _assert_memo_closed(g, labelled):

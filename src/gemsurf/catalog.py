@@ -177,7 +177,8 @@ def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
         bip = is_bipartite(g) is not None
         chi = complex_stats(g).euler_characteristic
         cg = canonical_graph(g)
-        entries.append(CatalogEntry(cg, _fingerprint_text(cg), bip, chi, canonical_of(n, bip)))
+        fp = _fingerprint_text(n, (m[1:] for m in cg.matchings))
+        entries.append(CatalogEntry(cg, fp, bip, chi, canonical_of(n, bip)))
     entries.sort(key=lambda e: e.fingerprint)
     for a, b in zip(entries, entries[1:]):
         if a.fingerprint == b.fingerprint:

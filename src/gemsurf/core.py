@@ -14,6 +14,7 @@ file parsers alike.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 COLORS = (0, 1, 2)
@@ -96,15 +97,6 @@ def graph_from_matchings(n: int, m0, m1, m2) -> ColoredGraph:
     return ColoredGraph(n, (tuple(m0), tuple(m1), tuple(m2)))
 
 
-def _copy_edges(rows: list[list[int]], g: ColoredGraph, new: dict[int, int]) -> None:
-    """Write into ``rows`` every edge of g with both ends kept by ``new`` (old -> new)."""
-    for m, row in zip(g.matchings, rows):
-        for u, x in new.items():
-            v = m[u]
-            if v in new:
-                row[x] = new[v]
-
-
 def graph_from_pairs(n: int, pairs_by_color: tuple) -> ColoredGraph:
     """Build a graph from three lists of vertex pairs, one list per color."""
     return validate(n, ((c, u, v) for c in COLORS for (u, v) in pairs_by_color[c]))
@@ -141,13 +133,29 @@ def validate(n: int, edge_records) -> ColoredGraph:
     return graph_from_matchings(n, *rows)
 
 
+def _is_bijection(perm: dict[int, int], n: int) -> bool:
+    """True iff ``perm`` maps 1..n one-to-one onto 1..n."""
+    return sorted(perm) == list(range(1, n + 1)) and sorted(perm.values()) == list(range(1, n + 1))
+
+
 def relabel(g: ColoredGraph, perm: dict[int, int]) -> ColoredGraph:
     """Apply the vertex bijection ``perm`` (old -> new) to ``g``."""
-    if sorted(perm) != list(range(1, g.n + 1)) or sorted(perm.values()) != list(range(1, g.n + 1)):
+    if not _is_bijection(perm, g.n):
         raise ValidationError("relabeling is not a bijection of 1..n")
-    rows = [[0] * (g.n + 1) for _ in COLORS]
-    _copy_edges(rows, g, perm)
-    return graph_from_matchings(g.n, *rows)
+    new, old = [0] * (g.n + 1), [0] * (g.n + 1)
+    for u, x in perm.items():
+        new[u], old[x] = x, u
+    return graph_from_matchings(g.n, *([new[m[u]] for u in old] for m in g.matchings))
+
+
+def _maps_onto(g: ColoredGraph, h: ColoredGraph, perm: dict[int, int]) -> bool:
+    """True iff ``relabel(g, perm) == h``, where a ``perm`` that is no
+    bijection of 1..n maps nothing.  Checked edge by edge without building a
+    graph: h[c][perm[u]] == perm[g[c][u]] for every color c and vertex u."""
+    if g.n != h.n or not _is_bijection(perm, g.n):
+        return False
+    p = [0, *map(perm.__getitem__, range(1, g.n + 1))]
+    return all([hc[x] for x in p] == [p[x] for x in gc] for gc, hc in zip(g.matchings, h.matchings))
 
 
 # ============================================================
@@ -208,17 +216,26 @@ def is_contracted(g: ColoredGraph) -> bool:
     return all(len(_cycle(m[i], m[j], 1)) == g.n for (i, j) in ((0, 1), (0, 2), (1, 2)))
 
 
-def _reach(g: ColoredGraph, start: int, seen: list[bool], triple=None) -> list[int]:
+def _reach(g: ColoredGraph, start: int, seen: list[bool], blocked) -> list[int]:
     """Mark in ``seen`` and return the unmarked vertices reachable from ``start``,
-    never taking the color-c edge u-v, u < v, that ``triple[c]`` names."""
+    never leaving a vertex of ``blocked[c]`` along color c."""
+    m0, m1, m2 = g.matchings
+    b0, b1, b2 = blocked
     seen[start] = True
     found = [start]
     for u in found:
-        for c, m in enumerate(g.matchings):
-            v = m[u]
-            if not seen[v] and (triple is None or triple[c] != (min(u, v), max(u, v))):
-                seen[v] = True
-                found.append(v)
+        v = m0[u]
+        if not seen[v] and u not in b0:
+            seen[v] = True
+            found.append(v)
+        v = m1[u]
+        if not seen[v] and u not in b1:
+            seen[v] = True
+            found.append(v)
+        v = m2[u]
+        if not seen[v] and u not in b2:
+            seen[v] = True
+            found.append(v)
     return found
 
 
@@ -446,7 +463,13 @@ def _m0_entry2(g: ColoredGraph) -> list[int] | None:
 
 
 def canonical_graph(g: ColoredGraph) -> ColoredGraph:
-    """The lexicographically least relabeling of g.
+    """The lexicographically least relabeling of g (see ``_canonical_rows``)."""
+    return graph_from_matchings(g.n, *((0, *row) for row in _canonical_rows(g)))
+
+
+def _canonical_rows(g: ColoredGraph) -> tuple:
+    """The rows m0, m1, m2 of g's lexicographically least relabeling, each
+    listing the new labels 1..n in order (no slot 0).
 
     Per connected component, the least encoding over all roots is kept;
     components are then sorted and concatenated.  This is a canonical
@@ -499,16 +522,18 @@ def canonical_graph(g: ColoredGraph) -> ColoredGraph:
                     spare[v] = 0
         while _step(m, lab, order, row0):
             pass
-        least.append((len(order), tuple(row0), *(rows or _rows(m, lab, order))))
+        least.append((len(order), row0, *(rows or _rows(m, lab, order))))
         for v in order:
             lab[v] = 0
-    rows: list[list[int]] = [[0], [0], [0]]
+    if len(least) == 1:
+        return least[0][1:]
+    rows: list[list[int]] = [[], [], []]
     offset = 0
     for (k, *enc_rows) in sorted(least):
         for row, enc in zip(rows, enc_rows):
             row.extend([offset + x for x in enc] if offset else enc)
         offset += k
-    return graph_from_matchings(g.n, *rows)
+    return tuple(rows)
 
 
 def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
@@ -558,11 +583,25 @@ def are_isomorphic(g: ColoredGraph, h: ColoredGraph) -> dict[int, int] | None:
 # ============================================================
 
 
-def renumbering(n: int, removed) -> dict[int, int]:
-    """Order-preserving renumbering of {1..n} minus ``removed`` onto 1..n-len(removed)."""
-    gone = set(removed)
-    kept = [v for v in range(1, n + 1) if v not in gone]
-    return {v: new for new, v in enumerate(kept, start=1)}
+def renumbering(n: int, removed) -> list[int]:
+    """Order-preserving renumbering of {1..n} minus ``removed`` onto 1..n-len(removed).
+
+    Returns an index map: entry v is v's new number, 0 for a removed v, and
+    entry 0 is 0, so a neighbor row maps entry by entry.  ``removed`` holds
+    vertices of 1..n.
+    """
+    if len(removed) > 8:  # mark, then number the kept vertices in one C pass
+        keep = [0] + [1] * n
+        for v in removed:
+            keep[v] = 0
+        return list(map(operator.mul, itertools.accumulate(keep), keep))
+    r, k = [0], 0
+    for v in sorted(set(removed)):
+        r += range(len(r) - k, v - k)
+        r.append(0)
+        k += 1
+    r += range(len(r) - k, n + 1 - k)
+    return r
 
 
 def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> ColoredGraph:
@@ -576,17 +615,16 @@ def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> Color
     if not 1 <= v2 <= g2.n:
         raise GemError(f"vertex {v2} not in second summand")
     r1 = renumbering(g1.n, (v1,))
-    r2 = {u: new + (g1.n - 1) for u, new in renumbering(g2.n, (v2,)).items()}
-    n = g1.n + g2.n - 2
-    rows = [[0] * (n + 1) for _ in COLORS]
-    _copy_edges(rows, g1, r1)
-    _copy_edges(rows, g2, r2)
-    for c, row in zip(COLORS, rows):
-        a = r1[g1.matchings[c][v1]]
-        b = r2[g2.matchings[c][v2]]
-        row[a] = b
-        row[b] = a
-    return graph_from_matchings(n, *rows)
+    r2 = [x and x + g1.n - 1 for x in renumbering(g2.n, (v2,))]
+    rows = []
+    for m1, m2 in zip(g1.matchings, g2.matchings):
+        # g2's vertex u sits at g1.n + u before the two deleted slots go.
+        row = [r1[x] for x in m1] + [r2[x] for x in m2[1:]]
+        del row[g1.n + v2], row[v1]
+        a, b = r1[m1[v1]], r2[m2[v2]]
+        row[a], row[b] = b, a
+        rows.append(row)
+    return graph_from_matchings(g1.n + g2.n - 2, *rows)
 
 
 @dataclass(frozen=True)
@@ -614,11 +652,17 @@ def _seam_from_triple(g: ColoredGraph, triple) -> Seam | None:
     """The seam on the edge triple (``triple[c]`` of color c), or None: side A is
     the walk from vertex 1 that takes no triple edge, side B the walk from the
     least vertex outside A, and they must cover g with each entry joining them."""
+    # The ends of each entry are read once.  An entry that is reversed or is
+    # no edge of its color names nothing and blocks nothing.
+    blocked = [(), (), ()]
+    for c, (u, v) in enumerate(triple):
+        if 1 <= u < v <= g.n and g.matchings[c][u] == v:
+            blocked[c] = (u, v)
     seen = [False] * (g.n + 1)
-    a = frozenset(_reach(g, 1, seen, triple))
+    a = frozenset(_reach(g, 1, seen, blocked))
     if len(a) == g.n or any((u in a) == (v in a) for (u, v) in triple):
         return None
-    b = frozenset(_reach(g, seen.index(False, 1), seen, triple))
+    b = frozenset(_reach(g, seen.index(False, 1), seen, blocked))
     if len(a) + len(b) != g.n:
         return None
     if len(a) == 1 and len(b) == 1:
@@ -655,15 +699,16 @@ def seam_from_side(g: ColoredGraph, side: frozenset[int]) -> Seam:
     Requires exactly three crossing edges, one per color, and both parts
     connected once the triple is removed.
     """
-    crossing: dict[int, tuple[int, int]] = {}
-    for (c, u, v) in g.edges():
-        if (u in side) != (v in side):
-            if c in crossing:
-                raise SeamError(f"more than one color-{c} edge crosses the side")
-            crossing[c] = (u, v)
-    if sorted(crossing) != list(COLORS):
+    inside = side
+    if min(side, default=1) < 1 or max(side, default=1) > g.n:
+        inside = side.intersection(range(1, g.n + 1))
+    ends = [[u for u in inside if m[u] not in inside] for m in g.matchings]
+    for c, crossing in enumerate(ends):
+        if len(crossing) > 1:
+            raise SeamError(f"more than one color-{c} edge crosses the side")
+    if not all(ends):
         raise SeamError("side is not separated by one edge per color")
-    triple = tuple(crossing[c] for c in COLORS)
+    triple = tuple((min(u, m[u]), max(u, m[u])) for [u], m in zip(ends, g.matchings))
     s = _seam_from_triple(g, triple)
     if s is None or side not in (s.side_a, s.side_b):
         raise SeamError("edge triple does not disconnect the graph along the given side")
@@ -687,13 +732,14 @@ def extract_summands(g: ColoredGraph, s: Seam) -> tuple[ColoredGraph, int, Color
 
     def build(other_side: frozenset[int]) -> tuple[ColoredGraph, int]:
         order = renumbering(g.n, other_side)
-        apex = len(order) + 1
-        rows = [[0] * (apex + 1) for _ in COLORS]
-        _copy_edges(rows, g, order)
-        for (u, v), row in zip(s.edges, rows):
-            end = order[u] if u in order else order[v]
-            row[apex] = end
+        apex = g.n - len(other_side) + 1
+        rows = []
+        for (u, v), m in zip(s.edges, g.matchings):
+            # The seam edge's kept end points across the seam (0) until welded to the apex.
+            end = order[u] or order[v]
+            row = [0, *itertools.compress(map(order.__getitem__, m), order), end]
             row[end] = apex
+            rows.append(row)
         return graph_from_matchings(apex, *rows), apex
 
     g1, u = build(s.side_b)

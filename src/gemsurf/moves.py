@@ -1,8 +1,8 @@
 """The move calculus: simple cut, simple glueing, cut-and-glue, interchange.
 
 Also home of the canonical fingerprint (a full canonical labeling, not a
-lossy hash, read off ``core.canonical_graph``) and of replayable,
-machine-verified move traces.
+lossy hash, formatted from the rows behind ``core.canonical_graph``) and
+of replayable, machine-verified move traces.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from .core import (
     ColoredGraph,
     GemError,
     Seam,
-    _copy_edges,
+    _canonical_rows,
     _cycle,
     _seam_from_triple,
     bicolored_cycles,
-    canonical_graph,
     connected_sum,
     extract_summands,
     graph_from_matchings,
@@ -126,6 +125,11 @@ def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
     whose two edges share a vertex yield a singleton arc and hence
     parallel edges at the fresh vertex; that is allowed.
     """
+    return graph_from_matchings(g.n + 2, *_cut_rows(g, spec))
+
+
+def _cut_rows(g: ColoredGraph, spec: CutSpec) -> list[list[int]]:
+    """The neighbor rows of ``simple_cut(g, spec)``, checked as it checks them."""
     c = spec.cut_color
     if c not in COLORS:
         raise MoveError(f"invalid cut color {c}")
@@ -152,7 +156,7 @@ def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
     # Every end of edge_a and edge_b is rewelded to z1 or z2 below, which
     # overwrites the two removed edges in the copied rows.
     z1, z2 = g.n + 1, g.n + 2
-    rows = [list(m) + [0, 0] for m in g.matchings]
+    rows = [[*m, 0, 0] for m in g.matchings]
     for z, arc in ((z1, arc_z1), (z2, arc_z2)):
         rows[a][z] = arc[0]
         rows[a][arc[0]] = z
@@ -160,7 +164,7 @@ def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
         rows[b][arc[-1]] = z
     rows[c][z1] = z2
     rows[c][z2] = z1
-    return graph_from_matchings(z2, *rows)
+    return rows
 
 
 # ============================================================
@@ -168,42 +172,45 @@ def simple_cut(g: ColoredGraph, spec: CutSpec) -> ColoredGraph:
 # ============================================================
 
 
-def _check_glue(g: ColoredGraph, spec: GlueSpec) -> tuple[int, int]:
+def _glue(rows: list[list[int]], n: int, spec: GlueSpec) -> ColoredGraph:
+    """Check ``spec`` on the neighbor rows of a graph on n vertices, as
+    ``simple_glue`` does, then glue in place and build the one result."""
     c = spec.cut_color
     if c not in COLORS:
         raise MoveError(f"invalid cut color {c}")
     w1, w2 = spec.pair
-    if not g.has_edge(c, w1, w2):
+    if not (1 <= w1 <= n and rows[c][w1] == w2):
         raise MoveError(f"no color-{c} edge between {w1} and {w2}")
     a, b = other_colors(c)
-    if w2 in _cycle(g.matchings[a], g.matchings[b], w1):
+    if w2 in _cycle(rows[a], rows[b], w1):
         raise MoveError(
             f"glue pair ({w1},{w2}) lies on a single ({a},{b})-cycle; "
             "such a glue inverts no cut")
-    return a, b
+    for d in (a, b):
+        row = rows[d]
+        x, y = row[w1], row[w2]
+        row[x], row[y] = y, x
+    r = renumbering(n, spec.pair)
+    for row in rows:
+        del row[max(w1, w2)], row[min(w1, w2)]
+    return graph_from_matchings(n - 2, *([r[x] for x in row] for row in rows))
 
 
 def simple_glue(g: ColoredGraph, spec: GlueSpec) -> ColoredGraph:
     """Delete the glue pair and reweld its {a,b}-neighbors, merging two cycles."""
-    a, b = _check_glue(g, spec)
-    w1, w2 = spec.pair
-    r = renumbering(g.n, spec.pair)
-    n = g.n - 2
-    rows = [[0] * (n + 1) for _ in COLORS]
-    _copy_edges(rows, g, r)
-    for d in (a, b):
-        x = r[g.matchings[d][w1]]
-        y = r[g.matchings[d][w2]]
-        rows[d][x] = y
-        rows[d][y] = x
-    return graph_from_matchings(n, *rows)
+    return _glue([list(m) for m in g.matchings], g.n, spec)
 
 
 def cut_and_glue(g: ColoredGraph, cut: CutSpec, glue: GlueSpec) -> ColoredGraph:
-    """A simple cut followed by a simple glueing with the same chosen color."""
+    """A simple cut followed by a simple glueing with the same chosen color.
+
+    The glue is checked and applied on the cut's rows, so the cut graph is
+    never built; results and errors are those of
+    ``simple_glue(simple_cut(g, cut), glue)``.
+    """
     if cut.cut_color != glue.cut_color:
         raise MoveError("cut and glue phases must use the same chosen color")
-    return simple_glue(simple_cut(g, cut), glue)
+    return _glue(_cut_rows(g, cut), g.n + 2, glue)
 
 
 # ============================================================
@@ -242,14 +249,21 @@ def interchange(g: ColoredGraph, seam: Seam, u_new: int, v_new: int) -> ColoredG
 # ============================================================
 
 
-def _fingerprint_text(cg: ColoredGraph) -> str:
-    """The fingerprint of every graph whose canonical graph is ``cg``."""
-    return f"{cg.n}:" + ":".join(".".join(map(str, cg.matchings[c][1:])) for c in COLORS)
+# The numerals 0..4096, so that fingerprint text of graphs up to that size
+# reads each label from a table; larger labels go through ``str``.
+_NUMERALS = tuple(map(str, range(4097)))
+
+
+def _fingerprint_text(n: int, rows) -> str:
+    """The fingerprint of every graph on n vertices whose canonical rows,
+    without slot 0, are ``rows``."""
+    text = _NUMERALS.__getitem__ if n < len(_NUMERALS) else str
+    return f"{n}:" + ":".join([".".join(map(text, row)) for row in rows])
 
 
 # Fingerprints by ``g.matchings`` while one ``reduction.reduce`` call runs,
 # so its closing self-verify reads back what its splits labelled.  The key
-# is the exact labelled graph and ``canonical_graph`` is deterministic, so a
+# is the exact labelled graph and canonical labelling is deterministic, so a
 # hit is the answer a second labelling would give.  A ContextVar keeps each
 # thread's and context's memo apart; outside ``reduce`` it holds None.
 _fingerprint_memo: ContextVar[dict | None] = ContextVar(
@@ -260,10 +274,10 @@ def fingerprint(g: ColoredGraph) -> str:
     """Collision-free canonical fingerprint: n and the canonical matchings."""
     memo = _fingerprint_memo.get()
     if memo is None:
-        return _fingerprint_text(canonical_graph(g))
+        return _fingerprint_text(g.n, _canonical_rows(g))
     fp = memo.get(g.matchings)
     if fp is None:
-        fp = memo[g.matchings] = _fingerprint_text(canonical_graph(g))
+        fp = memo[g.matchings] = _fingerprint_text(g.n, _canonical_rows(g))
     return fp
 
 

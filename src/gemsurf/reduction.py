@@ -18,8 +18,8 @@ from .core import (
     ColoredGraph,
     GemError,
     Seam,
-    ValidationError,
     _cycle,
+    _maps_onto,
     _seam_from_triple,
     are_isomorphic,
     connected_sum,
@@ -28,7 +28,6 @@ from .core import (
     graph_from_pairs,
     is_bipartite,
     is_contracted,
-    relabel,
     renumbering,
     seam_from_side,
 )
@@ -145,11 +144,11 @@ def make_P(m: int) -> ColoredGraph:
     """Connected sum of m copies of K4, accumulated left to right.
 
     Each copy is welded at the accumulator's highest vertex and the fresh
-    copy's vertex 1.
+    copy's vertex 1.  Every P(m) is chained from the one cached P(1).
     """
     if m < 1:
         raise ReductionError("P(m) requires m >= 1")
-    return _chain(make_P1(), m)
+    return make_P1() if m == 1 else _chain(make_P(1), m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -158,10 +157,11 @@ def make_T(m: int) -> ColoredGraph:
 
     Welds pair the accumulator's highest vertex, which is even, with vertex
     1 of the fresh copy, so ``_weld``'s type rule holds at every step.
+    Every T(m) is chained from the one cached T(1).
     """
     if m < 1:
         raise ReductionError("T(m) requires m >= 1")
-    return _chain(make_T1(), m)
+    return make_T1() if m == 1 else _chain(make_T(1), m)
 
 
 def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
@@ -171,8 +171,9 @@ def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
     This is ``connected_sum(acc, acc.n, block, 1)`` folded m-1 times.  The
     deleted vertex is always the accumulator's highest, so the others keep
     their numbers and block vertices 2..b follow, shifted by n-2.  Time and
-    memory are linear in the result and no smaller form is built or
-    cached, so a large m read from a file costs only the form itself.
+    memory are linear in the result and no form between the block and the
+    result is built or cached, so a large m read from a file costs only the
+    form itself.
     """
     rows = [list(row) for row in block.matchings]
     for _ in range(m - 1):
@@ -345,18 +346,19 @@ def _verify_node(g: ColoredGraph, node: Cert):
             raise CertificateError(f"unknown certificate node {node!r}")
         node = node.rest
     # Compare sizes before realize: a claimed form's size is untrusted.
-    try:
-        valid = (node.form.vertex_count == g.n
-                 and relabel(g, dict(node.mapping)) == realize(node.form))
-    except ValidationError:
-        valid = False
-    if not valid:
+    if not (node.form.vertex_count == g.n
+            and _maps_onto(g, realize(node.form), dict(node.mapping))):
         raise CertificateError(f"isomorphism witness onto {node.form} is invalid")
     return node.form
 
 
 def _iso_cert(g: ColoredGraph, form: CanonicalForm) -> IsoCert:
-    mapping = are_isomorphic(g, realize(form))
+    """The witness that g is the canonical graph of ``form``: the identity
+    when g is that graph itself, which is what the search would return."""
+    h = realize(form)
+    if g == h:
+        return IsoCert(form, tuple(zip(range(1, g.n + 1), range(1, g.n + 1))))
+    mapping = are_isomorphic(g, h)
     if mapping is None:
         raise ReductionError(
             f"internal: graph on {g.n} vertices failed to match {form}; "
@@ -383,8 +385,11 @@ class SplitOff:
     piece_cert: IsoCert
 
 
-def _choose_anchor(g: ColoredGraph, bipartite: bool):
+def _choose_anchor(g: ColoredGraph, bipartite: bool, coloured: bool = False):
     """Check a split's preconditions, then choose its labeling deterministically.
+
+    ``coloured`` says the caller has 2-coloured g already and found it
+    ``bipartite`` or not; the parity check is then not repeated.
 
     A standard labeling v_1..v_n reads the {0,1}-cycle ``cyc`` forwards from
     an even index ``off`` or backwards from an odd one, so each v_{2i-1}v_{2i}
@@ -399,7 +404,7 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool):
     """
     if not is_contracted(g):
         raise ReductionError("split requires a contracted graph")
-    if (is_bipartite(g) is not None) != bipartite:
+    if not coloured and (is_bipartite(g) is not None) != bipartite:
         raise ReductionError(f"this split requires a {'' if bipartite else 'non-'}"
                              "bipartite graph")
     n = g.n
@@ -471,7 +476,11 @@ def split_off_T1(g: ColoredGraph) -> SplitOff:
     and cutting it is the faithful generalization.  The result carries the
     seam around {z1, z1', v2, z2, z2'}, whose summand is the torus block.
     """
-    v, j, s, t = _choose_anchor(g, bipartite=True)  # v[k]: the vertex at position k
+    return _split_T1(g, *_choose_anchor(g, bipartite=True))
+
+
+def _split_T1(g: ColoredGraph, v, j: int, s: int, t: int) -> SplitOff:
+    """``split_off_T1`` at the anchor (v, j, s, t); v[k] is the vertex at position k."""
     n = g.n
     move1 = CutGlue(
         cut_spec(2, (v[j - 1], v[j]), (v[2], v[3]), arc_vertex=v[3]),
@@ -499,7 +508,11 @@ def split_off_P1(g: ColoredGraph) -> SplitOff:
     through v2), glues at (v_s, v_t); the block summand sits on
     {v1, z2, v_j} plus the apex.
     """
-    v, j, s, t = _choose_anchor(g, bipartite=False)
+    return _split_P1(g, *_choose_anchor(g, bipartite=False))
+
+
+def _split_P1(g: ColoredGraph, v, j: int, s: int, t: int) -> SplitOff:
+    """``split_off_P1`` at the anchor (v, j, s, t)."""
     n = g.n
     move = CutGlue(
         cut_spec(2, (v[1], v[2]), (v[j - 1], v[j]), arc_vertex=v[2]),
@@ -537,7 +550,7 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> tuple[MoveTrace, ColoredGr
         raise ReductionError(f"rewrite applies to 8-vertex graphs, got n={g.n}")
     s_a, _, s_b, _ = extract_summands(g, seam)
     t_sum, p_sum, t_side = (s_a, s_b, seam.side_a) if s_a.n == 6 else (s_b, s_a, seam.side_b)
-    if are_isomorphic(t_sum, make_T1()) is None or are_isomorphic(p_sum, make_P1()) is None:
+    if are_isomorphic(t_sum, make_T(1)) is None or are_isomorphic(p_sum, make_P(1)) is None:
         raise ReductionError("seam summands are not the torus graph and K4")
     h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
     h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]
@@ -602,10 +615,16 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
 
 
 def _reduce_node(g: ColoredGraph) -> Cert:
-    """Split off torus or K4 blocks down to n <= 6, then fold the splits back up."""
+    """Split off torus or K4 blocks down to n <= 6, then fold the splits back up.
+
+    Each remainder is 2-coloured once, here, and its split is told the
+    result instead of 2-colouring it again.
+    """
     splits = []
     while g.n > 6:
-        splits.append(split_off_T1(g) if is_bipartite(g) is not None else split_off_P1(g))
+        bipartite = is_bipartite(g) is not None
+        anchor = _choose_anchor(g, bipartite, coloured=True)
+        splits.append(_split_T1(g, *anchor) if bipartite else _split_P1(g, *anchor))
         g = splits[-1].remainder
     node = _iso_cert(g, canonical_of(g.n, is_bipartite(g) is not None))
     for sp in reversed(splits):

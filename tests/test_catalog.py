@@ -129,7 +129,7 @@ def test_catalog_labels_each_class_once(monkeypatch, n):
         raise AssertionError("enumerate_contracted labeled a graph through moves")
 
     monkeypatch.setattr(gs.catalog, "canonical_graph", counted)
-    monkeypatch.setattr(gs.moves, "canonical_graph", refused)
+    monkeypatch.setattr(gs.moves, "_canonical_rows", refused)
     cat = enumerate_contracted(n)
     assert labeled == [n] * len(cat.classes)
 

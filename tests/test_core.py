@@ -552,3 +552,106 @@ def test_extract_rejects_bogus_seam():
     seam = next(s for s in gs.find_seams(gs.make_P2()) if s.proper)
     with pytest.raises(gs.SeamError):
         gs.extract_summands(g, seam)
+
+
+# ============================================================
+# index maps, witnesses and seams from a side
+# ============================================================
+
+
+@pytest.mark.parametrize("n, removed", [
+    (2, ()), (6, (1,)), (6, (6,)), (10, (4, 2, 4)), (30, range(3, 30, 3)), (30, frozenset({1, 30})),
+])
+def test_renumbering_is_an_index_map(n, removed):
+    kept = [v for v in range(1, n + 1) if v not in set(removed)]
+    want = [0] * (n + 1)
+    for new, v in enumerate(kept, start=1):
+        want[v] = new
+    assert gs.core.renumbering(n, removed) == want
+
+
+def _relabel_maps_onto(g, h, perm):
+    try:
+        return gs.relabel(g, perm) == h
+    except ValidationError:
+        return False
+
+
+def test_edge_by_edge_witness_agrees_with_relabel():
+    """The check ``verify_certificate`` runs on a conclude witness gives the
+    verdict of building ``relabel(g, perm)`` and comparing, a ValidationError
+    counting as invalid."""
+    from gemsurf.core import _maps_onto
+    rng = random.Random(21)
+    verdicts = []
+    for g in [gs.make_L(), gs.make_P2(), gs.make_T(3), random_contracted(rng, 30, False)]:
+        sigma = random_relabeling(g, rng)
+        n = g.n
+        for h in (g, gs.relabel(g, sigma)):
+            pair_lists = [[(v, v) for v in range(1, n + 1)], sorted(sigma.items())]
+            pair_lists += [sorted(random_relabeling(g, rng).items()) for _ in range(6)]
+            good = pair_lists[0] if h is g else pair_lists[1]
+            pair_lists += [
+                good + [(1, good[-1][1])],                  # a duplicate key, last wins
+                good + [(good[0][0], good[0][1])],          # a repeated entry
+                good[1:],                                   # a missing entry
+                good + [(n + 1, n + 1)],                    # an extra entry
+                [(u, 0 if u == 1 else x) for u, x in good],  # a zero image
+                [(0, x) if u == 1 else (u, x) for u, x in good],  # a zero key
+                [(u, n + 1 if u == n else x) for u, x in good],   # an image out of range
+                [(u, x) for u, x in good] + [(-1, 1)],      # a key out of range
+            ]
+            for pairs in pair_lists:
+                perm = dict(pairs)
+                verdict = _maps_onto(g, h, perm)
+                assert verdict == _relabel_maps_onto(g, h, perm), (g, h, pairs)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    # Both verdicts reach verify_certificate unchanged.
+    g = gs.make_T1()
+    for pairs, ok in (([(v, v) for v in range(1, 7)], True), ([(1, 1)] * 6, False)):
+        cert = gs.ReductionCertificate(gs.form_T(1), gs.IsoCert(gs.form_T(1), tuple(pairs)))
+        if ok:
+            assert gs.verify_certificate(g, cert) == gs.form_T(1)
+        else:
+            with pytest.raises(gs.CertificateError, match="isomorphism witness onto T"):
+                gs.verify_certificate(g, cert)
+
+
+def _seam_from_side_by_edge_scan(g, side):
+    """seam_from_side as it found the crossing edges by scanning every edge of g."""
+    crossing = {}
+    for (c, u, v) in g.edges():
+        if (u in side) != (v in side):
+            if c in crossing:
+                raise gs.SeamError(f"more than one color-{c} edge crosses the side")
+            crossing[c] = (u, v)
+    if sorted(crossing) != list(gs.COLORS):
+        raise gs.SeamError("side is not separated by one edge per color")
+    s = gs.core._seam_from_triple(g, tuple(crossing[c] for c in gs.COLORS))
+    if s is None or side not in (s.side_a, s.side_b):
+        raise gs.SeamError("edge triple does not disconnect the graph along the given side")
+    return s
+
+
+def test_seam_from_side_matches_the_edge_scan():
+    rng = random.Random(22)
+    graphs = [gs.make_L(), gs.make_P2(), gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4),
+              gs.make_P(4), gs.relabel(gs.make_T(3), random_relabeling(gs.make_T(3), rng))]
+    outcomes = set()
+    for g in graphs:
+        sides = [s.side_a for s in gs.find_seams(g)] + [s.side_b for s in gs.find_seams(g)]
+        sides += [frozenset(rng.sample(range(1, g.n + 1), rng.randint(1, g.n))) for _ in range(40)]
+        sides += [frozenset(), frozenset({0}), frozenset({1, g.n + 1}), frozenset({-2, 1, 2})]
+        for side in sides:
+            try:
+                want = _seam_from_side_by_edge_scan(g, side)
+            except gs.SeamError as exc:
+                with pytest.raises(gs.SeamError) as got:
+                    gs.core.seam_from_side(g, side)
+                assert str(got.value) == str(exc), (g, side)
+                outcomes.add(str(exc).split()[0])
+            else:
+                assert gs.core.seam_from_side(g, side) == want
+                outcomes.add("seam")
+    assert outcomes == {"seam", "more", "side", "edge"}, outcomes

@@ -194,9 +194,9 @@ def test_write_certificate_fingerprints_only_the_root(monkeypatch, g):
     """The writer labels no graph, except the input of a certificate whose
     root is not a trace: for ``reduce``, an input of at most 6 vertices."""
     _, cert = gs.reduce(g)
-    real = moves.canonical_graph
+    real = moves._canonical_rows
     labelled = []
-    monkeypatch.setattr(moves, "canonical_graph", lambda h: labelled.append(h) or real(h))
+    monkeypatch.setattr(moves, "_canonical_rows", lambda h: labelled.append(h) or real(h))
     text = fileio.write_certificate(g, cert)
     assert labelled == ([g] if g.n <= 6 else [])
     monkeypatch.undo()

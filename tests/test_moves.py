@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -187,9 +188,10 @@ def _reference_cut_specs(g):
                     yield gs.CutSpec(c, ea, eb, heads[1])
 
 
-def _outcome(cut, g, spec):
+def _outcome(move, *args):
+    """The graph a move returns, or the type and message of its error."""
     try:
-        return cut(g, spec)
+        return move(*args)
     except MoveError as exc:
         return type(exc), str(exc)
 
@@ -313,6 +315,52 @@ def test_cut_and_glue_color_mismatch():
     other = (spec.cut_color + 1) % 3
     with pytest.raises(MoveError, match="same chosen color"):
         gs.cut_and_glue(g, spec, GlueSpec(other, (1, 2)))
+
+
+def _glue_after_cut(g, cut, glue):
+    """cut_and_glue as a built cut graph and a simple glue on it."""
+    if cut.cut_color != glue.cut_color:
+        raise MoveError("cut and glue phases must use the same chosen color")
+    return gs.simple_glue(gs.simple_cut(g, cut), glue)
+
+
+def _glue_specs(gbar, c):
+    """Every color-c edge of gbar as a glue in both orders (legal ones and pairs
+    on one cycle), then a non-edge, a color mismatch and zero, out-of-range and
+    negative vertices.  A color outside 0..2 keeps the pairs of color c mod 3."""
+    n, m = gbar.n, gbar.matchings[c % 3]
+    pairs = [(u, m[u]) for u in range(1, n + 1)]
+    pairs += [(1, next(v for v in range(2, n + 1) if v != m[1])),
+              (0, 1), (1, 0), (n + 1, 1), (1, n + 1), (-1, 1), (0, 0)]
+    specs = [GlueSpec(c, pair) for pair in pairs]
+    return specs + [GlueSpec((c + 1) % 3, pairs[0]), GlueSpec(7, pairs[0])]
+
+
+def test_cut_and_glue_matches_glue_after_cut():
+    """The fused move gives the built cut graph's glue result or error, for
+    every cut spec of the catalog through n=8 and a few illegal ones."""
+    seen = {"legal": 0}
+    for g in catalog_graphs(8):
+        cuts = list(enumerate_cut_specs(g))
+        cuts += [cut_spec(2, (1, g.matchings[0][1]), (1, g.matchings[0][1]), arc_vertex=1),
+                 dataclasses.replace(cuts[0], arc_vertex=g.n + 5),
+                 dataclasses.replace(cuts[0], cut_color=4)]
+        for cut in cuts:
+            try:
+                gbar = gs.simple_cut(g, cut)
+            except MoveError:
+                gbar = gs.simple_cut(g, cuts[0])  # any glues: the cut's error comes first
+            for glue in _glue_specs(gbar, cut.cut_color):
+                want = _outcome(_glue_after_cut, g, cut, glue)
+                assert _outcome(gs.cut_and_glue, g, cut, glue) == want, (g, cut, glue)
+                key = "legal" if isinstance(want, gs.ColoredGraph) else want[1].split()[0]
+                seen[key] = seen.get(key, 0) + 1
+    # Every outcome occurs: a result; the cut's errors on a non-edge ("(1,"),
+    # an arc vertex off the cycle ("arc") and a bad color ("invalid"); the
+    # glue's on a non-edge ("no"), a pair on one cycle ("glue") and a color
+    # mismatch ("cut").
+    assert set(seen) == {"legal", "(1,", "arc", "invalid", "no", "glue", "cut"}, seen
+    assert seen["legal"] > 1000, seen
 
 
 # ============================================================

@@ -418,15 +418,15 @@ def test_reduce_form_matches_invariants():
 
 
 def _count_labellings(monkeypatch):
-    """Record the matchings of every graph ``moves`` hands to ``canonical_graph``."""
+    """Record the matchings of every graph ``moves`` hands to ``_canonical_rows``."""
     labelled = []
-    canonical_graph = moves.canonical_graph
+    canonical_rows = moves._canonical_rows
 
     def counted(g):
         labelled.append(g.matchings)
-        return canonical_graph(g)
+        return canonical_rows(g)
 
-    monkeypatch.setattr(moves, "canonical_graph", counted)
+    monkeypatch.setattr(moves, "_canonical_rows", counted)
     return labelled
 
 
@@ -442,6 +442,48 @@ def test_reduce_labels_each_graph_once(monkeypatch, g):
     gs.reduce(g)
     assert labelled
     assert len(labelled) == len(set(labelled))
+
+
+@pytest.mark.parametrize("g", [
+    random_contracted(random.Random(66), 66, True),
+    random_contracted(random.Random(66), 66, False),
+    gs.connected_sum(gs.make_T(15), 7, gs.make_P(2), 3),
+    circ(66, 3),
+], ids=["bipartite-n66", "nonbipartite-n66", "T15+P2", "circ66"])
+def test_reduce_and_verify_build_no_throwaway_graph(monkeypatch, g):
+    """Each cut-and-glue builds only its result, and each conclude witness is
+    checked edge by edge: no cut graph and no relabelled graph is built."""
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("simple_cut", "relabel"):
+        for module in (gs, gs.core, moves, gs.reduction):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused(name))
+    form, cert = gs.reduce(g)
+    assert gs.verify_certificate(g, cert) == form
+
+
+def test_reduce_two_colours_each_remainder_once(monkeypatch):
+    """``_reduce_node`` 2-colours each remainder and hands the split the
+    result; only the input is 2-coloured twice, once more by ``reduce``."""
+    g = random_contracted(random.Random(67), 66, False)
+    coloured = []
+    is_bipartite = gs.core.is_bipartite
+
+    def counted(h):
+        coloured.append(h.matchings)
+        return is_bipartite(h)
+
+    monkeypatch.setattr(gs.reduction, "is_bipartite", counted)
+    gs.reduce(g)
+    counts = {}
+    for key in coloured:
+        counts[key] = counts.get(key, 0) + 1
+    assert counts.pop(g.matchings) == 2
+    assert len(counts) > 20 and set(counts.values()) == {1}
 
 
 def test_verify_welds_forms_without_two_colouring(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import ValidationError
 from gemsurf.catalog import enumerate_contracted
-from gemsurf.core import _m0_entry2, graph_from_matchings
+from gemsurf.core import _m0_entry2, _maps_onto, graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
 from test_golden import _disjoint_union, circ, prism, random_contracted
 
@@ -581,7 +581,6 @@ def test_edge_by_edge_witness_agrees_with_relabel():
     """The check ``verify_certificate`` runs on a conclude witness gives the
     verdict of building ``relabel(g, perm)`` and comparing, a ValidationError
     counting as invalid."""
-    from gemsurf.core import _maps_onto
     rng = random.Random(21)
     verdicts = []
     for g in [gs.make_L(), gs.make_P2(), gs.make_T(3), random_contracted(rng, 30, False)]:

@@ -8,6 +8,7 @@ from gemsurf import CutGlue, Glue, GlueSpec, Interchange, MoveError, TraceError
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.moves import cut_spec, enumerate_cut_specs, enumerate_glue_specs, other_colors
 from gemsurf.surfaces import complex_stats
+from test_golden import prism
 
 
 def catalog_graphs(max_n):
@@ -486,6 +487,15 @@ def test_interchange_move_rejects_non_seam():
 # ============================================================
 # fingerprints
 # ============================================================
+
+
+@pytest.mark.parametrize("k, weld", [(1024, False), (2048, False), (2048, True)])
+def test_fingerprint_text_is_the_canonical_graph_written_out(k, weld):
+    """Numerals read from the table (n <= 4096) or through str (n = 4098)
+    give the text of the canonical graph's rows."""
+    g = gs.connected_sum(prism(k), 1, gs.make_P1(), 1) if weld else prism(k)
+    rows = gs.canonical_graph(g).matchings
+    assert gs.fingerprint(g) == f"{g.n}:" + ":".join(".".join(str(x) for x in m[1:]) for m in rows)
 
 
 def test_fingerprint_is_isomorphism_invariant():

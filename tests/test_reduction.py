@@ -1,3 +1,4 @@
+import collections
 import inspect
 import random
 import sys
@@ -430,12 +431,15 @@ def _count_labellings(monkeypatch):
     return labelled
 
 
-@pytest.mark.parametrize("g", [
+on_four_inputs = pytest.mark.parametrize("g", [
     random_contracted(random.Random(66), 66, True),
     random_contracted(random.Random(66), 66, False),
     gs.connected_sum(gs.make_T(15), 7, gs.make_P(2), 3),
     circ(66, 3),
 ], ids=["bipartite-n66", "nonbipartite-n66", "T15+P2", "circ66"])
+
+
+@on_four_inputs
 def test_reduce_labels_each_graph_once(monkeypatch, g):
     """The self-verify replays every move, but labels no graph a second time."""
     labelled = _count_labellings(monkeypatch)
@@ -444,12 +448,7 @@ def test_reduce_labels_each_graph_once(monkeypatch, g):
     assert len(labelled) == len(set(labelled))
 
 
-@pytest.mark.parametrize("g", [
-    random_contracted(random.Random(66), 66, True),
-    random_contracted(random.Random(66), 66, False),
-    gs.connected_sum(gs.make_T(15), 7, gs.make_P(2), 3),
-    circ(66, 3),
-], ids=["bipartite-n66", "nonbipartite-n66", "T15+P2", "circ66"])
+@on_four_inputs
 def test_reduce_and_verify_build_no_throwaway_graph(monkeypatch, g):
     """Each cut-and-glue builds only its result, and each conclude witness is
     checked edge by edge: no cut graph and no relabelled graph is built."""
@@ -479,9 +478,7 @@ def test_reduce_two_colours_each_remainder_once(monkeypatch):
 
     monkeypatch.setattr(gs.reduction, "is_bipartite", counted)
     gs.reduce(g)
-    counts = {}
-    for key in coloured:
-        counts[key] = counts.get(key, 0) + 1
+    counts = collections.Counter(coloured)
     assert counts.pop(g.matchings) == 2
     assert len(counts) > 20 and set(counts.values()) == {1}
 

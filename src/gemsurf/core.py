@@ -218,7 +218,9 @@ def is_contracted(g: ColoredGraph) -> bool:
 
 def _reach(g: ColoredGraph, start: int, seen: list[bool], blocked) -> list[int]:
     """Mark in ``seen`` and return the unmarked vertices reachable from ``start``,
-    never leaving a vertex of ``blocked[c]`` along color c."""
+    never leaving a vertex of ``blocked[c]`` along color c.  Unrolled over
+    the three colours: certify rounds ran 2-5% faster than with a loop
+    over ``zip(g.matchings, blocked)`` (BENCH_20.json)."""
     m0, m1, m2 = g.matchings
     b0, b1, b2 = blocked
     seen[start] = True
@@ -525,8 +527,6 @@ def _canonical_rows(g: ColoredGraph) -> tuple:
         least.append((len(order), row0, *(rows or _rows(m, lab, order))))
         for v in order:
             lab[v] = 0
-    if len(least) == 1:
-        return least[0][1:]
     rows: list[list[int]] = [[], [], []]
     offset = 0
     for (k, *enc_rows) in sorted(least):
@@ -590,18 +590,10 @@ def renumbering(n: int, removed) -> list[int]:
     entry 0 is 0, so a neighbor row maps entry by entry.  ``removed`` holds
     vertices of 1..n.
     """
-    if len(removed) > 8:  # mark, then number the kept vertices in one C pass
-        keep = [0] + [1] * n
-        for v in removed:
-            keep[v] = 0
-        return list(map(operator.mul, itertools.accumulate(keep), keep))
-    r, k = [0], 0
-    for v in sorted(set(removed)):
-        r += range(len(r) - k, v - k)
-        r.append(0)
-        k += 1
-    r += range(len(r) - k, n + 1 - k)
-    return r
+    keep = [0] + [1] * n
+    for v in removed:
+        keep[v] = 0
+    return list(map(operator.mul, itertools.accumulate(keep), keep))
 
 
 def connected_sum(g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int) -> ColoredGraph:

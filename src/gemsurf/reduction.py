@@ -385,11 +385,10 @@ class SplitOff:
     piece_cert: IsoCert
 
 
-def _choose_anchor(g: ColoredGraph, bipartite: bool, coloured: bool = False):
+def _choose_anchor(g: ColoredGraph, bipartite: bool):
     """Check a split's preconditions, then choose its labeling deterministically.
 
-    ``coloured`` says the caller has 2-coloured g already and found it
-    ``bipartite`` or not; the parity check is then not repeated.
+    The caller has found g ``bipartite`` or not; the parity check is its own.
 
     A standard labeling v_1..v_n reads the {0,1}-cycle ``cyc`` forwards from
     an even index ``off`` or backwards from an odd one, so each v_{2i-1}v_{2i}
@@ -404,9 +403,6 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool, coloured: bool = False):
     """
     if not is_contracted(g):
         raise ReductionError("split requires a contracted graph")
-    if not coloured and (is_bipartite(g) is not None) != bipartite:
-        raise ReductionError(f"this split requires a {'' if bipartite else 'non-'}"
-                             "bipartite graph")
     n = g.n
     if bipartite and (n < 10 or n % 4 != 2):
         raise ReductionError(f"bipartite split requires n = 4q+2 with q >= 2, got {n}")
@@ -434,6 +430,16 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool, coloured: bool = False):
         raise ReductionError("internal: no color-2 edge from v1 of the required parity")
     (j, s, t), off, d = best
     return [0] + [cyc[(off + d * k) % n] for k in range(n)], j, s, t
+
+
+def _check_split_input(g: ColoredGraph, bipartite: bool) -> None:
+    """Refuse g as a public split does: not contracted, then of the wrong
+    parity.  ``_choose_anchor`` checks the rest; ``reduce`` knows g's parity."""
+    if not is_contracted(g):
+        raise ReductionError("split requires a contracted graph")
+    if (is_bipartite(g) is not None) != bipartite:
+        raise ReductionError(f"this split requires a {'' if bipartite else 'non-'}"
+                             "bipartite graph")
 
 
 def _summands_at(g: ColoredGraph, side: frozenset[int]):
@@ -476,6 +482,7 @@ def split_off_T1(g: ColoredGraph) -> SplitOff:
     and cutting it is the faithful generalization.  The result carries the
     seam around {z1, z1', v2, z2, z2'}, whose summand is the torus block.
     """
+    _check_split_input(g, bipartite=True)
     return _split_T1(g, *_choose_anchor(g, bipartite=True))
 
 
@@ -508,6 +515,7 @@ def split_off_P1(g: ColoredGraph) -> SplitOff:
     through v2), glues at (v_s, v_t); the block summand sits on
     {v1, z2, v_j} plus the apex.
     """
+    _check_split_input(g, bipartite=False)
     return _split_P1(g, *_choose_anchor(g, bipartite=False))
 
 
@@ -623,7 +631,7 @@ def _reduce_node(g: ColoredGraph) -> Cert:
     splits = []
     while g.n > 6:
         bipartite = is_bipartite(g) is not None
-        anchor = _choose_anchor(g, bipartite, coloured=True)
+        anchor = _choose_anchor(g, bipartite)
         splits.append(_split_T1(g, *anchor) if bipartite else _split_P1(g, *anchor))
         g = splits[-1].remainder
     node = _iso_cert(g, canonical_of(g.n, is_bipartite(g) is not None))

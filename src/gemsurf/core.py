@@ -219,7 +219,7 @@ def is_contracted(g: ColoredGraph) -> bool:
 def _reach(g: ColoredGraph, start: int, seen: list[bool], blocked) -> list[int]:
     """Mark in ``seen`` and return the unmarked vertices reachable from ``start``,
     never leaving a vertex of ``blocked[c]`` along color c.  Unrolled over
-    the three colours: certify rounds ran 2-5% faster than with a loop
+    the three colours: certify rounds ran about 4% faster than with a loop
     over ``zip(g.matchings, blocked)`` (BENCH_20.json)."""
     m0, m1, m2 = g.matchings
     b0, b1, b2 = blocked

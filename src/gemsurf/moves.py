@@ -7,6 +7,7 @@ of replayable, machine-verified move traces.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -261,24 +262,47 @@ def _fingerprint_text(n: int, rows) -> str:
     return f"{n}:" + ":".join([".".join(map(text, row)) for row in rows])
 
 
-# Fingerprints by ``g.matchings`` while one ``reduction.reduce`` call runs,
-# so its closing self-verify reads back what its splits labelled.  The key
-# is the exact labelled graph and canonical labelling is deterministic, so a
-# hit is the answer a second labelling would give.  A ContextVar keeps each
-# thread's and context's memo apart; outside ``reduce`` it holds None.
-_fingerprint_memo: ContextVar[dict | None] = ContextVar(
-    "gemsurf_fingerprint_memo", default=None)
+# The memo of one ``reduction.reduce`` or ``verify_certificate`` call, and
+# None outside them: fingerprints keyed by ``g.matchings`` and realized
+# forms keyed by their ``CanonicalForm``.  A key fixes its value, so a hit
+# is the answer a second computation would give.  A ContextVar keeps each
+# thread's and context's memo apart.
+_call_memo: ContextVar[dict | None] = ContextVar("gemsurf_call_memo", default=None)
+
+
+@contextmanager
+def _open_call_memo():
+    """Open a call memo for the ``with`` body, or reuse the one already open.
+
+    A memo this opens is closed when the body returns or raises."""
+    if _call_memo.get() is not None:
+        yield
+        return
+    token = _call_memo.set({})
+    try:
+        yield
+    finally:
+        _call_memo.reset(token)
+
+
+def _memoized(key, build, *args):
+    """``build(*args)``, read from or kept in the open call memo under ``key``."""
+    memo = _call_memo.get()
+    if memo is None:
+        return build(*args)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
+
+
+def _label(g: ColoredGraph) -> str:
+    return _fingerprint_text(g.n, _canonical_rows(g))
 
 
 def fingerprint(g: ColoredGraph) -> str:
     """Collision-free canonical fingerprint: n and the canonical matchings."""
-    memo = _fingerprint_memo.get()
-    if memo is None:
-        return _fingerprint_text(g.n, _canonical_rows(g))
-    fp = memo.get(g.matchings)
-    if fp is None:
-        fp = memo[g.matchings] = _fingerprint_text(g.n, _canonical_rows(g))
-    return fp
+    return _memoized(g.matchings, _label, g)
 
 
 # ============================================================

@@ -11,7 +11,6 @@ witness and the re-chosen weld vertices.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .core import (
@@ -35,7 +34,8 @@ from .moves import (
     CutGlue,
     GlueSpec,
     MoveTrace,
-    _fingerprint_memo,
+    _memoized,
+    _open_call_memo,
     apply_move,
     cut_spec,
     fingerprint,
@@ -139,29 +139,33 @@ def make_P2() -> ColoredGraph:
                                 [(1, 4), (2, 6), (3, 5)]))
 
 
-@functools.lru_cache(maxsize=None)
+# The blocks every P(m) and T(m) is chained from.  Graphs are immutable, so
+# these are constants, not caches.
+_P1 = make_P1()
+_T1 = make_T1()
+
+
 def make_P(m: int) -> ColoredGraph:
     """Connected sum of m copies of K4, accumulated left to right.
 
     Each copy is welded at the accumulator's highest vertex and the fresh
-    copy's vertex 1.  Every P(m) is chained from the one cached P(1).
+    copy's vertex 1.  Every call builds a new graph, chained from ``_P1``.
     """
     if m < 1:
         raise ReductionError("P(m) requires m >= 1")
-    return make_P1() if m == 1 else _chain(make_P(1), m)
+    return _chain(_P1, m)
 
 
-@functools.lru_cache(maxsize=None)
 def make_T(m: int) -> ColoredGraph:
     """Connected sum of m copies of the torus graph, accumulated left to right.
 
     Welds pair the accumulator's highest vertex, which is even, with vertex
     1 of the fresh copy, so ``_weld``'s type rule holds at every step.
-    Every T(m) is chained from the one cached T(1).
+    Every call builds a new graph, chained from ``_T1``.
     """
     if m < 1:
         raise ReductionError("T(m) requires m >= 1")
-    return make_T1() if m == 1 else _chain(make_T(1), m)
+    return _chain(_T1, m)
 
 
 def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
@@ -172,8 +176,8 @@ def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
     deleted vertex is always the accumulator's highest, so the others keep
     their numbers and block vertices 2..b follow, shifted by n-2.  Time and
     memory are linear in the result and no form between the block and the
-    result is built or cached, so a large m read from a file costs only the
-    form itself.
+    result is built, so a large m read from a file costs only the form
+    itself.
     """
     rows = [list(row) for row in block.matchings]
     for _ in range(m - 1):
@@ -187,6 +191,12 @@ def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
 
 
 def realize(form: CanonicalForm) -> ColoredGraph:
+    """The canonical graph of ``form``, built once per ``reduce`` or
+    ``verify_certificate`` call and kept only until that call returns."""
+    return _memoized(form, _build_form, form)
+
+
+def _build_form(form: CanonicalForm) -> ColoredGraph:
     if form.kind == "L":
         return make_L()
     if form.kind == "P":
@@ -313,11 +323,13 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     Leaf traces are replayed, isomorphism witnesses re-checked edge by
     edge, every compose seam re-derived from its edge triple before its
     summands are built, and every recombined graph rebuilt by ``_weld``
-    under the type rule.
+    under the type rule.  Fingerprints and forms go through a call memo,
+    ``reduce``'s when it verifies its own certificate.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
-    form = _drive(_verify_node(g, cert.root))
+    with _open_call_memo():
+        form = _drive(_verify_node(g, cert.root))
     if form != cert.conclusion:
         raise CertificateError(f"certificate concludes {form}, claimed {cert.conclusion}")
     return form
@@ -558,7 +570,7 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> tuple[MoveTrace, ColoredGr
         raise ReductionError(f"rewrite applies to 8-vertex graphs, got n={g.n}")
     s_a, _, s_b, _ = extract_summands(g, seam)
     t_sum, p_sum, t_side = (s_a, s_b, seam.side_a) if s_a.n == 6 else (s_b, s_a, seam.side_b)
-    if are_isomorphic(t_sum, make_T(1)) is None or are_isomorphic(p_sum, make_P(1)) is None:
+    if are_isomorphic(t_sum, _T1) is None or are_isomorphic(p_sum, _P1) is None:
         raise ReductionError("seam summands are not the torus graph and K4")
     h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
     h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]
@@ -575,19 +587,17 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
     """Reduce a contracted graph to its normal form with a verified certificate."""
     if not is_contracted(g):
         raise ReductionError("reduction requires a contracted graph")
-    # One fingerprint memo for this call: each labelled graph is labelled
-    # once, and the self-verify below replays every move through it.
-    token = _fingerprint_memo.set({})
-    try:
-        root = _reduce_node(g)
+    bipartite = is_bipartite(g) is not None
+    # One call memo: each graph is labelled and each form realized once,
+    # and the self-verify below replays every move through the same memo.
+    with _open_call_memo():
+        root = _reduce_node(g, bipartite)
         form = certificate_conclusion(root)
-        expected = canonical_of(g.n, is_bipartite(g) is not None)
+        expected = canonical_of(g.n, bipartite)
         if form != expected:
             raise ReductionError(f"internal: reduced to {form}, expected {expected}")
         cert = ReductionCertificate(form, root)
         verify_certificate(g, cert)
-    finally:
-        _fingerprint_memo.reset(token)
     return form, cert
 
 
@@ -622,19 +632,20 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
     return joined, close
 
 
-def _reduce_node(g: ColoredGraph) -> Cert:
+def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     """Split off torus or K4 blocks down to n <= 6, then fold the splits back up.
 
-    Each remainder is 2-coloured once, here, and its split is told the
-    result instead of 2-colouring it again.
+    g is ``bipartite`` or not, as the caller found.  Each remainder is
+    2-coloured once, here, and its split is told the result instead of
+    2-colouring it again.
     """
     splits = []
     while g.n > 6:
-        bipartite = is_bipartite(g) is not None
         anchor = _choose_anchor(g, bipartite)
         splits.append(_split_T1(g, *anchor) if bipartite else _split_P1(g, *anchor))
         g = splits[-1].remainder
-    node = _iso_cert(g, canonical_of(g.n, is_bipartite(g) is not None))
+        bipartite = is_bipartite(g) is not None
+    node = _iso_cert(g, canonical_of(g.n, bipartite))
     for sp in reversed(splits):
         rem = certificate_conclusion(node)
         joined, close = _congruence(sp.seam, sp.piece, sp.piece_cert,

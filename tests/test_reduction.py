@@ -1,7 +1,9 @@
 import collections
+import gc
 import inspect
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -95,8 +97,6 @@ def test_bipartite_forms_are_coloured_by_vertex_parity():
 def test_families_build_without_deep_recursion():
     # k comes from untrusted files, so a form must not take one frame per
     # block: k is taken beyond the headroom the limit leaves.
-    gs.make_P.cache_clear()
-    gs.make_T.cache_clear()
     depth = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 40)
@@ -466,8 +466,8 @@ def test_reduce_and_verify_build_no_throwaway_graph(monkeypatch, g):
 
 
 def test_reduce_two_colours_each_remainder_once(monkeypatch):
-    """``_reduce_node`` 2-colours each remainder and hands the split the
-    result; only the input is 2-coloured twice, once more by ``reduce``."""
+    """``reduce`` 2-colours its input and ``_reduce_node`` each remainder,
+    once each, and hands the split the result."""
     g = random_contracted(random.Random(67), 66, False)
     coloured = []
     is_bipartite = gs.core.is_bipartite
@@ -479,7 +479,7 @@ def test_reduce_two_colours_each_remainder_once(monkeypatch):
     monkeypatch.setattr(gs.reduction, "is_bipartite", counted)
     gs.reduce(g)
     counts = collections.Counter(coloured)
-    assert counts.pop(g.matchings) == 2
+    assert counts.pop(g.matchings) == 1
     assert len(counts) > 20 and set(counts.values()) == {1}
 
 
@@ -499,7 +499,7 @@ def test_verify_welds_forms_without_two_colouring(monkeypatch):
 
 
 def _assert_memo_closed(g, labelled):
-    assert moves._fingerprint_memo.get() is None
+    assert moves._call_memo.get() is None
     labelled.clear()
     assert gs.fingerprint(g) == gs.fingerprint(g)
     assert labelled == [g.matchings] * 2
@@ -518,7 +518,7 @@ def test_fingerprint_memo_ends_with_reduce(monkeypatch):
     _assert_memo_closed(flat, labelled)
 
     def failing_verify(g, cert):
-        assert moves._fingerprint_memo.get()  # open and filled by the splits
+        assert moves._call_memo.get()  # open and filled by the splits
         raise CertificateError("forced")
 
     monkeypatch.setattr(gs.reduction, "verify_certificate", failing_verify)
@@ -527,20 +527,92 @@ def test_fingerprint_memo_ends_with_reduce(monkeypatch):
     _assert_memo_closed(g, labelled)
 
 
+def test_verify_closes_the_memo_it_opens(monkeypatch):
+    g, form, cert = _sample_cert()
+    labelled = _count_labellings(monkeypatch)
+    assert gs.verify_certificate(g, cert) == form
+    _assert_memo_closed(g, labelled)
+
+    assert g != gs.make_P(5)
+    identity = tuple((v, v) for v in range(1, g.n + 1))
+    bad = gs.ReductionCertificate(form, IsoCert(form, identity))
+    with pytest.raises(CertificateError, match="isomorphism witness"):
+        gs.verify_certificate(g, bad)
+    _assert_memo_closed(g, labelled)
+
+
+def test_verify_reuses_the_memo_of_reduce(monkeypatch):
+    """The self-verify realizes its forms in the memo ``reduce`` opened."""
+    g = gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9)
+    memos, in_verify = [], []
+    realize, verify = gs.reduction.realize, gs.reduction.verify_certificate
+
+    def recorded(form):
+        memos.append((bool(in_verify), moves._call_memo.get()))
+        return realize(form)
+
+    def flagged(g, cert):
+        in_verify.append(True)
+        return verify(g, cert)
+
+    monkeypatch.setattr(gs.reduction, "realize", recorded)
+    monkeypatch.setattr(gs.reduction, "verify_certificate", flagged)
+    gs.reduce(g)
+    assert {in_v for in_v, _ in memos} == {False, True}
+    assert len({id(memo) for _, memo in memos}) == 1 and memos[0][1]
+
+
+def _count_chains(monkeypatch):
+    """Record (block, m) for every ``_chain`` call, and a weakref to its graph."""
+    built, refs = [], []
+    chain = gs.reduction._chain
+
+    def counted(block, m):
+        h = chain(block, m)
+        built.append((block.n, m))
+        refs.append(weakref.ref(h))
+        return h
+
+    monkeypatch.setattr(gs.reduction, "_chain", counted)
+    return built, refs
+
+
+@on_four_inputs
+def test_reduce_builds_each_form_once(monkeypatch, g):
+    built, _ = _count_chains(monkeypatch)
+    gs.reduce(g)
+    counts = collections.Counter(built)
+    assert any(m > 1 for _, m in counts) and set(counts.values()) == {1}
+
+
+def test_no_form_outlives_its_call(monkeypatch):
+    """Nothing keeps a realized form once ``reduce`` or ``verify`` returns;
+    the certificate refers to forms by name only."""
+    g = gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2)
+    _, refs = _count_chains(monkeypatch)
+    form, cert = gs.reduce(g)
+    assert refs
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+    refs.clear()
+    assert gs.verify_certificate(g, cert) == form
+    assert refs
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
+
+
 def test_open_memo_still_rejects_a_tampered_trace():
     g = random_contracted(random.Random(30), 30, False)
     first = next(enumerate_cut_specs(g))
     second = next(enumerate_cut_specs(gs.simple_cut(g, first)))
-    token = moves._fingerprint_memo.set({})
-    try:
+    with moves._open_call_memo():
         trace, _ = gs.record_trace(g, [gs.Cut(first), gs.Cut(second)])
         gs.verify_trace(g, trace)  # every step's graph is in the memo now
         (m1, fp1), (m2, fp2) = trace.steps
         for bad_step, steps in ((1, ((m1, fp2), (m2, fp2))), (2, ((m1, fp1), (m2, fp1)))):
             with pytest.raises(TraceError, match=f"step {bad_step}: fingerprint mismatch"):
                 gs.verify_trace(g, gs.MoveTrace(trace.initial, steps))
-    finally:
-        moves._fingerprint_memo.reset(token)
 
 
 # ============================================================

@@ -217,9 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing reads the parser and nothing mutates it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

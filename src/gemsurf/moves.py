@@ -7,6 +7,7 @@ of replayable, machine-verified move traces.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -258,8 +259,12 @@ _NUMERALS = tuple(map(str, range(4097)))
 def _fingerprint_text(n: int, rows) -> str:
     """The fingerprint of every graph on n vertices whose canonical rows,
     without slot 0, are ``rows``."""
-    text = _NUMERALS.__getitem__ if n < len(_NUMERALS) else str
-    return f"{n}:" + ":".join([".".join(map(text, row)) for row in rows])
+    if n < len(_NUMERALS):
+        # A row has n >= 2 entries, so itemgetter returns a tuple of numerals.
+        rows = [operator.itemgetter(*row)(_NUMERALS) for row in rows]
+    else:
+        rows = [map(str, row) for row in rows]
+    return f"{n}:" + ":".join([".".join(row) for row in rows])
 
 
 # The memo of one ``reduction.reduce`` or ``verify_certificate`` call, and
@@ -269,19 +274,27 @@ def _fingerprint_text(n: int, rows) -> str:
 # thread's and context's memo apart.
 _call_memo: ContextVar[dict | None] = ContextVar("gemsurf_call_memo", default=None)
 
+# The step results of a call memo that ``reduce`` opened, and None
+# otherwise: the graph of each move, seam split and weld, for its
+# self-verify to read back.  A stand-alone verify would never read one.
+_step_memo: ContextVar[dict | None] = ContextVar("gemsurf_step_memo", default=None)
+
 
 @contextmanager
-def _open_call_memo():
+def _open_call_memo(keep_steps: bool = False):
     """Open a call memo for the ``with`` body, or reuse the one already open.
 
-    A memo this opens is closed when the body returns or raises."""
+    A memo this opens keeps step results if ``keep_steps``, and is closed
+    when the body returns or raises."""
     if _call_memo.get() is not None:
         yield
         return
     token = _call_memo.set({})
+    steps = _step_memo.set({} if keep_steps else None)
     try:
         yield
     finally:
+        _step_memo.reset(steps)
         _call_memo.reset(token)
 
 
@@ -294,6 +307,20 @@ def _memoized(key, build, *args):
     if value is None:
         value = memo[key] = build(*args)
     return value
+
+
+def _kept_step(key, pins, build, *args):
+    """``build(*args)``, read from or kept in the open step memo under ``key``.
+
+    ``key`` may hold the ids of the objects in ``pins``: the entry keeps
+    them alive, so no id in a key is reused while the memo lives."""
+    steps = _step_memo.get()
+    if steps is None:
+        return build(*args)
+    entry = steps.get(key)
+    if entry is None:
+        entry = steps[key] = (build(*args), pins)
+    return entry[0]
 
 
 def _label(g: ColoredGraph) -> str:
@@ -311,6 +338,12 @@ def fingerprint(g: ColoredGraph) -> str:
 
 
 def apply_move(g: ColoredGraph, move: Move) -> ColoredGraph:
+    """The graph ``move`` takes g to; inside ``reduce`` it is kept in the
+    step memo under the identities of g and ``move``."""
+    return _kept_step((id(g), id(move)), (g, move), _apply, g, move)
+
+
+def _apply(g: ColoredGraph, move: Move) -> ColoredGraph:
     if isinstance(move, Cut):
         return simple_cut(g, move.spec)
     if isinstance(move, Glue):

@@ -34,6 +34,7 @@ from .moves import (
     CutGlue,
     GlueSpec,
     MoveTrace,
+    _kept_step,
     _memoized,
     _open_call_memo,
     apply_move,
@@ -210,8 +211,9 @@ def _weld(f_a: CanonicalForm, a: int, f_b: CanonicalForm, b: int) -> ColoredGrap
     vertex parity, odd vertices black: L has vertices 1 and 2, each edge of
     T1 joins an odd and an even vertex, and ``_chain`` shifts each block by
     the even n-2 and joins the deleted highest vertex's odd neighbours to
-    the block's vertex-1 neighbours, which are even."""
-    joined = connected_sum(realize(f_a), a, realize(f_b), b)
+    the block's vertex-1 neighbours, which are even.  Inside ``reduce`` the
+    joined graph is kept in the step memo under the four values."""
+    joined = _kept_step((f_a, a, f_b, b), (), connected_sum, realize(f_a), a, realize(f_b), b)
     if "P" not in (f_a.kind, f_b.kind) and a % 2 == b % 2:
         raise GemError(f"type rule violated: vertices {a} and {b} are both "
                        f"{'black' if a % 2 else 'white'}")
@@ -324,7 +326,8 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     edge, every compose seam re-derived from its edge triple before its
     summands are built, and every recombined graph rebuilt by ``_weld``
     under the type rule.  Fingerprints and forms go through a call memo,
-    ``reduce``'s when it verifies its own certificate.
+    ``reduce``'s when it verifies its own certificate; there each move,
+    seam split and weld reads back the graph ``reduce`` built.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
@@ -347,7 +350,7 @@ def _verify_node(g: ColoredGraph, node: Cert):
             seam = _seam_from_triple(g, node.seam_edges)
             if seam is None:
                 raise CertificateError(f"recorded edge triple {node.seam_edges} is not a seam")
-            g1, _, g2, _ = extract_summands(g, seam)
+            g1, _, g2, _ = _summands(g, seam)
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
             try:
@@ -462,10 +465,17 @@ def _summands_at(g: ColoredGraph, side: frozenset[int]):
     then the apex.
     """
     seam = seam_from_side(g, side)
-    s_a, _, s_b, _ = extract_summands(g, seam)
+    s_a, _, s_b, _ = _summands(g, seam)
     if seam.side_a == side:
         return seam, s_a, s_b, True
     return seam, s_b, s_a, False
+
+
+def _summands(g: ColoredGraph, seam: Seam):
+    """``extract_summands(g, seam)``; inside ``reduce`` it is kept in the
+    step memo under the identity of g and the seam's edge triple, which
+    fix the seam."""
+    return _kept_step((id(g), seam.edges), (g,), extract_summands, g, seam)
 
 
 def _detach(g: ColoredGraph, steps, block: frozenset[int], form: CanonicalForm) -> SplitOff:
@@ -589,8 +599,9 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
         raise ReductionError("reduction requires a contracted graph")
     bipartite = is_bipartite(g) is not None
     # One call memo: each graph is labelled and each form realized once,
-    # and the self-verify below replays every move through the same memo.
-    with _open_call_memo():
+    # and each move, seam split and weld built once; the self-verify below
+    # replays every step and reads its graph back from the same memo.
+    with _open_call_memo(keep_steps=True):
         root = _reduce_node(g, bipartite)
         form = certificate_conclusion(root)
         expected = canonical_of(g.n, bipartite)

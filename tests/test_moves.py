@@ -489,11 +489,16 @@ def test_interchange_move_rejects_non_seam():
 # ============================================================
 
 
-@pytest.mark.parametrize("k, weld", [(1024, False), (2048, False), (2048, True)])
+@pytest.mark.parametrize("k, weld", [(1, False), (2, False), (1024, False), (2048, False),
+                                     (2048, True)])
 def test_fingerprint_text_is_the_canonical_graph_written_out(k, weld):
-    """Numerals read from the table (n <= 4096) or through str (n = 4098)
-    give the text of the canonical graph's rows."""
-    g = gs.connected_sum(prism(k), 1, gs.make_P1(), 1) if weld else prism(k)
+    """Numerals read from the table (n <= 4096, down to rows of two entries
+    at n = 2) or through str (n = 4098) give the text of the canonical
+    graph's rows.  k = 1 stands for L, the one graph on 2 vertices."""
+    if k == 1:
+        g = gs.make_L()
+    else:
+        g = gs.connected_sum(prism(k), 1, gs.make_P1(), 1) if weld else prism(k)
     rows = gs.canonical_graph(g).matchings
     assert gs.fingerprint(g) == f"{g.n}:" + ":".join(".".join(str(x) for x in m[1:]) for m in rows)
 

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import inspect
 import random
@@ -585,21 +586,164 @@ def test_reduce_builds_each_form_once(monkeypatch, g):
     assert any(m > 1 for _, m in counts) and set(counts.values()) == {1}
 
 
+def _count_steps(monkeypatch):
+    """Record a key for every cut-and-glue, seam split and weld built, the
+    step memo open at the time, and a weakref to each graph built."""
+    built = {"cut_and_glue": [], "extract_summands": [], "connected_sum": []}
+    memo_open, refs = [], []
+
+    def count(module, name, key):
+        build = getattr(module, name)
+
+        def counted(*args):
+            out = build(*args)
+            built[name].append(key(*args))
+            memo_open.append(moves._step_memo.get() is not None)
+            refs.extend(weakref.ref(h) for h in (out if isinstance(out, tuple) else (out,))
+                        if isinstance(h, gs.ColoredGraph))
+            return out
+        monkeypatch.setattr(module, name, counted)
+
+    count(moves, "cut_and_glue", lambda g, cut, glue: (g.matchings, cut, glue))
+    count(gs.reduction, "extract_summands", lambda g, seam: (g.matchings, seam.edges))
+    count(gs.reduction, "connected_sum", lambda g1, a, g2, b: (g1.matchings, a, g2.matchings, b))
+    return built, memo_open, refs
+
+
+@on_four_inputs
+def test_reduce_builds_each_step_once(monkeypatch, g):
+    """The self-verify of ``reduce`` reads every move, seam split and weld
+    back from the step memo, so it builds none; a stand-alone verify keeps
+    no step memo and builds each of its steps itself, as often as ``reduce``
+    built it (a mixed chain rewrites one 8-vertex graph once per block)."""
+    built, memo_open, _ = _count_steps(monkeypatch)
+    verify, self_verify_builds = gs.reduction.verify_certificate, []
+
+    def measured(h, cert):
+        before = sum(map(len, built.values()))
+        form = verify(h, cert)
+        self_verify_builds.append(sum(map(len, built.values())) - before)
+        return form
+
+    monkeypatch.setattr(gs.reduction, "verify_certificate", measured)
+    form, cert = gs.reduce(g)
+    assert self_verify_builds == [0]
+    in_reduce = {name: collections.Counter(keys) for name, keys in built.items()}
+    assert all(in_reduce.values()) and all(memo_open)
+
+    for keys in built.values():
+        keys.clear()
+    memo_open.clear()
+    assert gs.verify_certificate(g, cert) == form
+    assert collections.Counter(built["cut_and_glue"]) == in_reduce["cut_and_glue"]
+    assert collections.Counter(built["connected_sum"]) == in_reduce["connected_sum"]
+    # The rewrite's own split of its 8-vertex graph is replayed as a move.
+    splits = collections.Counter(built["extract_summands"])
+    assert splits and splits <= in_reduce["extract_summands"]
+    assert memo_open and not any(memo_open)
+
+
 def test_no_form_outlives_its_call(monkeypatch):
-    """Nothing keeps a realized form once ``reduce`` or ``verify`` returns;
-    the certificate refers to forms by name only."""
+    """Nothing keeps a realized form or a step's graph once ``reduce`` or
+    ``verify`` returns; the certificate refers to forms by name only."""
     g = gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2)
     _, refs = _count_chains(monkeypatch)
+    _, _, step_refs = _count_steps(monkeypatch)
     form, cert = gs.reduce(g)
-    assert refs
+    assert refs and step_refs
     gc.collect()
-    assert [r for r in refs if r() is not None] == []
+    assert [r for r in refs + step_refs if r() is not None] == []
 
     refs.clear()
+    step_refs.clear()
     assert gs.verify_certificate(g, cert) == form
-    assert refs
+    assert refs and step_refs
     gc.collect()
-    assert [r for r in refs if r() is not None] == []
+    assert [r for r in refs + step_refs if r() is not None] == []
+
+
+def _other_arc(move):
+    """``move`` with its cut's fresh vertex z1 on the other arc: the other
+    end of the cut edge that holds its arc vertex."""
+    cut = move.cut
+    edge = cut.edge_a if cut.arc_vertex in cut.edge_a else cut.edge_b
+    other = edge[0] if cut.arc_vertex == edge[1] else edge[1]
+    return dataclasses.replace(move, cut=dataclasses.replace(cut, arc_vertex=other))
+
+
+# Each fault below returns None where it would not make the record false,
+# and the next call is tried instead.
+
+
+def _stale_fingerprint(args, sp):
+    """The first step of the split whose graph is no isomorph of the one
+    before it records the fingerprint of the one before."""
+    fps = [sp.trace.initial] + [fp for _, fp in sp.trace.steps]
+    changed = [k for k in range(1, len(fps)) if fps[k] != fps[k - 1]]
+    if not changed:
+        return None
+    k = changed[0]
+    steps = list(sp.trace.steps)
+    steps[k - 1] = (steps[k - 1][0], fps[k - 1])
+    return dataclasses.replace(sp, trace=gs.MoveTrace(sp.trace.initial, tuple(steps)))
+
+
+def _other_move(args, sp):
+    """The first move of a torus split records its cut with z1 on the other
+    arc.  That lands on an isomorph with z1 and z2 swapped, which the second
+    move, naming z1's edge, does not fit.  (A one-move split's records fit
+    the isomorph too, so there the changed certificate is still valid.)"""
+    if len(sp.trace.steps) < 2:
+        return None
+    (move, fp), *rest = sp.trace.steps
+    bad = ((_other_arc(move), fp), *rest)
+    return dataclasses.replace(sp, trace=gs.MoveTrace(sp.trace.initial, bad))
+
+
+def _other_weld(args, out):
+    joined, close = out
+
+    def bad_close(rest):
+        rec = close(rest)
+        return dataclasses.replace(rec, weld_b=3 if rec.weld_b == 1 else rec.weld_b - 2)
+    return joined, bad_close
+
+
+def _swapped_images(args, cert):
+    (u1, v1), (u2, v2), *rest = cert.mapping
+    return IsoCert(cert.form, ((u1, v2), (u2, v1), *rest))
+
+
+@pytest.mark.parametrize("g", [
+    random_contracted(random.Random(30), 30, True),
+    gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2),
+], ids=["bipartite-n30", "T6+P3"])
+@pytest.mark.parametrize("name, fault", [
+    ("_detach", _stale_fingerprint),
+    ("_detach", _other_move),
+    ("_congruence", _other_weld),
+    ("_iso_cert", _swapped_images),
+], ids=["stale-fingerprint", "other-arc", "other-weld", "swapped-witness"])
+def test_self_verify_catches_a_bookkeeping_fault(monkeypatch, g, name, fault):
+    """One wrong record in ``reduce``'s own certificate fails its self-verify,
+    though every step's graph sits in the step memo: a fingerprint of the
+    graph before the move, the same cut with z1 on its other arc, other
+    weld vertices, a witness with two images swapped."""
+    step = getattr(gs.reduction, name)
+    faulted = []
+
+    def faulty(*args):
+        out = step(*args)
+        bad = None if faulted else fault(args, out)
+        if bad is None:
+            return out
+        faulted.append(name)
+        return bad
+
+    monkeypatch.setattr(gs.reduction, name, faulty)
+    with pytest.raises(CertificateError):
+        gs.reduce(g)
+    assert faulted
 
 
 def test_open_memo_still_rejects_a_tampered_trace():

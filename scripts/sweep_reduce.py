@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time reduce + verify_certificate on seeded random or circulant contracted graphs.
+"""Time reduce, verify_certificate and the certificate file path on seeded graphs.
 
     PYTHONPATH=src python scripts/sweep_reduce.py [--family random|circ] [N ...]
 
@@ -10,7 +10,10 @@ N is drawn with ``random.Random(N)`` by the sampler of
 ``circ(N, 3)`` of the same file, which is contracted only for N = 2 mod 4
 and then reduces to T((N - 2) / 4); its symmetric labelling is the slow
 case of the canonical encoder.  For each graph ``reduce`` and
-``verify_certificate`` are timed once each.
+``verify_certificate`` are timed once each (``reduce_s``, ``verify_s``),
+then the file path: ``write_certificate`` (``write_s``),
+``parse_certificate`` of its text (``parse_s``) and a stand-alone
+``verify_certificate`` of the parsed certificate (``verify_file_s``).
 One JSON object per graph is printed, then, when at least two distinct
 sizes were run, the least-squares slope of log(reduce + verify seconds)
 against log(N) over all graphs (``fitted_exponent`` of
@@ -30,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "gembench")]
 
 import gemsurf as gs  # noqa: E402
+from gemsurf import fileio  # noqa: E402
 from graphs import fitted_exponent  # noqa: E402
 from test_golden import circ, random_contracted  # noqa: E402
 
@@ -59,9 +63,18 @@ def main(argv: list[str]) -> None:
             t1 = time.perf_counter()
             gs.verify_certificate(g, cert)
             t2 = time.perf_counter()
+            text = fileio.write_certificate(g, cert)
+            t3 = time.perf_counter()
+            parsed = fileio.parse_certificate(text)
+            t4 = time.perf_counter()
+            if gs.verify_certificate(g, parsed) != form:
+                sys.exit(f"error: the written certificate of n={n} does not conclude {form}")
+            t5 = time.perf_counter()
             points.append((n, t2 - t0))
             print(json.dumps({"n": n, "bipartite": bipartite, "form": str(form),
-                              "reduce_s": round(t1 - t0, 3), "verify_s": round(t2 - t1, 3)}),
+                              "reduce_s": round(t1 - t0, 3), "verify_s": round(t2 - t1, 3),
+                              "write_s": round(t3 - t2, 3), "parse_s": round(t4 - t3, 3),
+                              "verify_file_s": round(t5 - t4, 3)}),
                   flush=True)
     if len({n for n, _ in points}) >= 2:  # a slope needs two distinct sizes
         print(json.dumps({"exponent": round(fitted_exponent(points), 2)}))

@@ -49,6 +49,7 @@ from .moves import (
     Interchange,
     Move,
     MoveTrace,
+    fingerprint,
     other_colors,
 )
 from .reduction import (
@@ -58,7 +59,6 @@ from .reduction import (
     ReductionCertificate,
     TraceCert,
     _drive,
-    _fingerprint_of,
     certificate_conclusion,
     parse_form_token,
 )
@@ -351,7 +351,10 @@ def write_certificate(g: ColoredGraph, cert: ReductionCertificate) -> str:
     The records carry every fingerprint but the header of a non-trace root.
     """
     blocks: list[str] = []
-    todo = [(_fingerprint_of(g, cert.root), cert.root)]  # (header, node) blocks, next one last
+    # A parsed witness is untrusted, so a non-trace root's header is g's own.
+    root = cert.root
+    header = root.trace.initial if isinstance(root, TraceCert) else fingerprint(g)
+    todo = [(header, root)]  # (header, node) blocks, next one last
     while todo:
         header, node = todo.pop()
         lines = [f"trace {VERSION} {header}"]
@@ -379,7 +382,7 @@ def _split_blocks(text: str):
     blocks = []
     current = None
     for ln, content in _meaningful_lines(text):
-        if content.split()[0] == "trace":
+        if content.split(None, 1)[0] == "trace":
             current = [(ln, content)]
             blocks.append(current)
         elif current is None:
@@ -469,6 +472,6 @@ def _parse_block(blocks, last_ln: int):
 def is_certificate(text: str) -> bool:
     """True when the trace file carries certificate records."""
     for _, content in _meaningful_lines(text):
-        if content.split()[0] in ("compose", "conclude"):
+        if content.split(None, 1)[0] in ("compose", "conclude"):
             return True
     return False

@@ -11,6 +11,7 @@ witness and the re-chosen weld vertices.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .core import (
@@ -154,7 +155,7 @@ def make_P(m: int) -> ColoredGraph:
     """
     if m < 1:
         raise ReductionError("P(m) requires m >= 1")
-    return _chain(_P1, m)
+    return _chain(_P1, _P1, m - 1)
 
 
 def make_T(m: int) -> ColoredGraph:
@@ -166,22 +167,23 @@ def make_T(m: int) -> ColoredGraph:
     """
     if m < 1:
         raise ReductionError("T(m) requires m >= 1")
-    return _chain(_T1, m)
+    return _chain(_T1, _T1, m - 1)
 
 
-def _chain(block: ColoredGraph, m: int) -> ColoredGraph:
-    """m copies of block, each welded at the accumulator's highest vertex and
-    its own vertex 1, built in one pass over three growing rows.
+def _chain(acc: ColoredGraph, block: ColoredGraph, k: int) -> ColoredGraph:
+    """acc with k copies of block appended, each welded at the accumulator's
+    highest vertex and its own vertex 1, built in one pass over three
+    growing rows.
 
-    This is ``connected_sum(acc, acc.n, block, 1)`` folded m-1 times.  The
+    This is ``connected_sum(acc, acc.n, block, 1)`` folded k times.  The
     deleted vertex is always the accumulator's highest, so the others keep
     their numbers and block vertices 2..b follow, shifted by n-2.  Time and
-    memory are linear in the result and no form between the block and the
-    result is built, so a large m read from a file costs only the form
+    memory are linear in the result and no graph between acc and the
+    result is built, so a large index read from a file costs only the form
     itself.
     """
-    rows = [list(row) for row in block.matchings]
-    for _ in range(m - 1):
+    rows = [list(row) for row in acc.matchings]
+    for _ in range(k):
         shift = len(rows[0]) - 3  # the highest vertex, about to be deleted, minus 2
         for row, nbr in zip(rows, block.matchings):
             end = row.pop()
@@ -198,11 +200,22 @@ def realize(form: CanonicalForm) -> ColoredGraph:
 
 
 def _build_form(form: CanonicalForm) -> ColoredGraph:
+    """A new graph of ``form``: P(m) and T(m) extend the largest form of their
+    kind with a smaller index that the open call memo holds, or the block.
+
+    P(m) is P(j) with m-j more K4 blocks chained on, and T(m) likewise, so
+    a fold-up that asks for F(m+1) after F(m) pays one block per form."""
     if form.kind == "L":
         return make_L()
-    if form.kind == "P":
-        return make_P(form.m)
-    return make_T(form.m)
+    block = _P1 if form.kind == "P" else _T1
+    # The indices of this kind realized so far in the call, ascending; a
+    # fresh list when no call memo is open.
+    done = _memoized(form.kind, list)
+    i = bisect.bisect_left(done, form.m)
+    j = done[i - 1] if i else 1
+    h = _chain(realize(CanonicalForm(form.kind, j)) if i else block, block, form.m - j)
+    done.insert(i, form.m)
+    return h
 
 
 def _weld(f_a: CanonicalForm, a: int, f_b: CanonicalForm, b: int) -> ColoredGraph:
@@ -327,7 +340,8 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     summands are built, and every recombined graph rebuilt by ``_weld``
     under the type rule.  Fingerprints and forms go through a call memo,
     ``reduce``'s when it verifies its own certificate; there each move,
-    seam split and weld reads back the graph ``reduce`` built.
+    weld, and seam split with its summands reads back what ``reduce``
+    derived on the same graph and triple.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
@@ -347,10 +361,8 @@ def _verify_node(g: ColoredGraph, node: Cert):
             except GemError as exc:
                 raise CertificateError(f"leaf trace failed: {exc}") from exc
         elif isinstance(node, RecombineCert):
-            seam = _seam_from_triple(g, node.seam_edges)
-            if seam is None:
-                raise CertificateError(f"recorded edge triple {node.seam_edges} is not a seam")
-            g1, _, g2, _ = _summands(g, seam)
+            triple = node.seam_edges
+            g1, _, g2, _ = _kept_step((id(g), triple), (g,), _split, g, triple)
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
             try:
@@ -462,20 +474,24 @@ def _summands_at(g: ColoredGraph, side: frozenset[int]):
 
     Returns (seam, side's summand, the other summand, whether ``side`` is
     side A).  A summand numbers its side's vertices in their order in g,
-    then the apex.
+    then the apex.  Inside ``reduce`` the summands are kept in the step
+    memo under the identity of g and the seam's edge triple, which fix the
+    seam, so the self-verify reads them back without deriving it again.
     """
     seam = seam_from_side(g, side)
-    s_a, _, s_b, _ = _summands(g, seam)
+    s_a, _, s_b, _ = _kept_step((id(g), seam.edges), (g,), extract_summands, g, seam)
     if seam.side_a == side:
         return seam, s_a, s_b, True
     return seam, s_b, s_a, False
 
 
-def _summands(g: ColoredGraph, seam: Seam):
-    """``extract_summands(g, seam)``; inside ``reduce`` it is kept in the
-    step memo under the identity of g and the seam's edge triple, which
-    fix the seam."""
-    return _kept_step((id(g), seam.edges), (g,), extract_summands, g, seam)
+def _split(g: ColoredGraph, triple):
+    """The summands of g at the seam on the edge ``triple``, derived from the
+    triple as a verifier must: the value ``_summands_at`` keeps for that seam."""
+    seam = _seam_from_triple(g, triple)
+    if seam is None:
+        raise CertificateError(f"recorded edge triple {triple} is not a seam")
+    return extract_summands(g, seam)
 
 
 def _detach(g: ColoredGraph, steps, block: frozenset[int], form: CanonicalForm) -> SplitOff:
@@ -613,8 +629,15 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
 
 
 def _fingerprint_of(g: ColoredGraph, node: Cert) -> str:
-    """fingerprint(g) for the graph that ``node`` certifies; a trace already holds it."""
-    return node.trace.initial if isinstance(node, TraceCert) else fingerprint(g)
+    """fingerprint(g) for the graph that ``node`` certifies.  A trace already
+    holds it, and a witness onto F, which the self-verify checks, makes it
+    the fingerprint of F's graph, so each form is labelled once per call
+    instead of each isomorph."""
+    if isinstance(node, TraceCert):
+        return node.trace.initial
+    if isinstance(node, IsoCert):
+        return fingerprint(realize(node.form))
+    return fingerprint(g)
 
 
 def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_cert: Cert,

@@ -47,3 +47,5 @@ def test_sweep_reduce_at_one_size():
     assert [(p["n"], p["bipartite"]) for p in points] == [(66, True), (66, False)]
     for p in points:
         assert p["form"] == str(gs.canonical_of(p["n"], p["bipartite"]))
+        assert all(p[key] >= 0 for key in ("reduce_s", "verify_s", "write_s", "parse_s",
+                                           "verify_file_s"))

@@ -7,6 +7,8 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gemsurf as gs
 from gemsurf import CertificateError, ReductionError, TraceError, fileio, moves
@@ -14,6 +16,7 @@ from gemsurf.catalog import enumerate_contracted
 from gemsurf.core import seam_from_side
 from gemsurf.moves import enumerate_cut_specs
 from gemsurf.reduction import (
+    CanonicalForm,
     IsoCert,
     TraceCert,
     _choose_anchor,
@@ -449,6 +452,34 @@ def test_reduce_labels_each_graph_once(monkeypatch, g):
     assert len(labelled) == len(set(labelled))
 
 
+def test_compose_records_label_forms_not_their_isomorphs(monkeypatch):
+    """A compose field whose graph is certified by a witness onto F prints
+    the fingerprint of F's graph, which the witness proves is the same text,
+    so ``reduce`` labels no summand or welding that only a witness certifies."""
+    g = gs.connected_sum(gs.make_T(15), 7, gs.make_P(2), 3)
+    labelled = _count_labellings(monkeypatch)
+    witnessed = []  # (graph, form) for each graph a compose field certifies by a witness
+    congruence = gs.reduction._congruence
+
+    def recorded(seam, x, x_cert, y, y_cert, x_is_a):
+        joined, close = congruence(seam, x, x_cert, y, y_cert, x_is_a)
+        witnessed.extend((h, c.form) for h, c in ((x, x_cert), (y, y_cert))
+                         if isinstance(c, IsoCert))
+
+        def recorded_close(rest):
+            if isinstance(rest, IsoCert):
+                witnessed.append((joined, rest.form))
+            return close(rest)
+        return joined, recorded_close
+
+    monkeypatch.setattr(gs.reduction, "_congruence", recorded)
+    gs.reduce(g)
+    isomorphs = [h.matchings for h, form in witnessed if h != gs.realize(form)]
+    assert len(isomorphs) > 10
+    assert set(isomorphs).isdisjoint(labelled)
+    assert len(labelled) == len(set(labelled)) == 136
+
+
 @on_four_inputs
 def test_reduce_and_verify_build_no_throwaway_graph(monkeypatch, g):
     """Each cut-and-glue builds only its result, and each conclude witness is
@@ -564,13 +595,14 @@ def test_verify_reuses_the_memo_of_reduce(monkeypatch):
 
 
 def _count_chains(monkeypatch):
-    """Record (block, m) for every ``_chain`` call, and a weakref to its graph."""
+    """Record (block size, result size, blocks appended) for every ``_chain``
+    call, and a weakref to its graph."""
     built, refs = [], []
     chain = gs.reduction._chain
 
-    def counted(block, m):
-        h = chain(block, m)
-        built.append((block.n, m))
+    def counted(acc, block, k):
+        h = chain(acc, block, k)
+        built.append((block.n, h.n, k))
         refs.append(weakref.ref(h))
         return h
 
@@ -582,8 +614,39 @@ def _count_chains(monkeypatch):
 def test_reduce_builds_each_form_once(monkeypatch, g):
     built, _ = _count_chains(monkeypatch)
     gs.reduce(g)
-    counts = collections.Counter(built)
-    assert any(m > 1 for _, m in counts) and set(counts.values()) == {1}
+    counts = collections.Counter((b, n) for b, n, _ in built)
+    assert any(n > b for b, n in counts) and set(counts.values()) == {1}
+
+
+@on_four_inputs
+def test_forms_extend_the_largest_form_realized(monkeypatch, g):
+    """One ``reduce``, and one stand-alone ``verify_certificate``, append at
+    most the largest index of each kind plus one block per form: each form
+    extends the largest one of its kind the call holds.  Chaining every
+    form from its block appended the sum of the indices, less one each."""
+    built, _ = _count_chains(monkeypatch)
+    form, cert = gs.reduce(g)
+    in_reduce = built[:]
+    built.clear()
+    assert gs.verify_certificate(g, cert) == form
+    for calls in (in_reduce, built):
+        largest = collections.defaultdict(int)  # per block size
+        for b, n, _ in calls:
+            largest[b] = max(largest[b], (n - 2) // (b - 2))
+        appended = sum(k for _, _, k in calls)
+        from_blocks = sum((n - 2) // (b - 2) - 1 for b, n, _ in calls)
+        assert appended <= sum(largest.values()) + len(calls) < from_blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("PT"), st.integers(1, 60)), max_size=12))
+def test_realize_in_one_memo_equals_the_builders(requests):
+    """In one open call memo, forms asked for in any order are the graphs
+    ``make_P`` and ``make_T`` build."""
+    with moves._open_call_memo():
+        for kind, m in requests:
+            expected = gs.make_P(m) if kind == "P" else gs.make_T(m)
+            assert gs.realize(CanonicalForm(kind, m)) == expected
 
 
 def _count_steps(monkeypatch):
@@ -709,6 +772,18 @@ def _other_weld(args, out):
     return joined, bad_close
 
 
+def _other_seam(args, out):
+    """The record names its seam's edge triple rotated, a triple the split
+    did not derive, so the step memo holds nothing under it."""
+    joined, close = out
+
+    def bad_close(rest):
+        rec = close(rest)
+        e0, e1, e2 = rec.seam_edges
+        return dataclasses.replace(rec, seam_edges=(e1, e2, e0))
+    return joined, bad_close
+
+
 def _swapped_images(args, cert):
     (u1, v1), (u2, v2), *rest = cert.mapping
     return IsoCert(cert.form, ((u1, v2), (u2, v1), *rest))
@@ -722,13 +797,15 @@ def _swapped_images(args, cert):
     ("_detach", _stale_fingerprint),
     ("_detach", _other_move),
     ("_congruence", _other_weld),
+    ("_congruence", _other_seam),
     ("_iso_cert", _swapped_images),
-], ids=["stale-fingerprint", "other-arc", "other-weld", "swapped-witness"])
+], ids=["stale-fingerprint", "other-arc", "other-weld", "other-seam", "swapped-witness"])
 def test_self_verify_catches_a_bookkeeping_fault(monkeypatch, g, name, fault):
     """One wrong record in ``reduce``'s own certificate fails its self-verify,
     though every step's graph sits in the step memo: a fingerprint of the
     graph before the move, the same cut with z1 on its other arc, other
-    weld vertices, a witness with two images swapped."""
+    weld vertices, a seam triple other than the one split, a witness with
+    two images swapped."""
     step = getattr(gs.reduction, name)
     faulted = []
 
@@ -799,14 +876,14 @@ def test_oversized_conclusion_rejected_before_realize(monkeypatch, block):
     lines[at] = "conclude T100000 " + lines[at].split()[2]
     bad = fileio.parse_certificate("\n".join(lines) + "\n")
 
-    make_t = gs.reduction.make_T
+    chain = gs.reduction._chain
 
-    def guarded(m):
-        if m == 100000:
-            raise AssertionError("make_T(100000) called before the size check")
-        return make_t(m)
+    def guarded(acc, block, k):
+        if acc.n + k * (block.n - 2) == 4 * 100000 + 2:
+            raise AssertionError("T(100000) built before the size check")
+        return chain(acc, block, k)
 
-    monkeypatch.setattr(gs.reduction, "make_T", guarded)
+    monkeypatch.setattr(gs.reduction, "_chain", guarded)
     with pytest.raises(CertificateError):
         gs.verify_certificate(g, bad)
 

@@ -270,10 +270,8 @@ def _fingerprint_text(n: int, rows) -> str:
 # The memo of one ``reduction.reduce`` or ``verify_certificate`` call, and
 # None outside them: fingerprints keyed by ``g.matchings`` and realized
 # forms keyed by their ``CanonicalForm``.  Such a key fixes its value, so a
-# hit is the answer a second computation would give.  Under a form kind,
-# "P" or "T", ``reduction`` keeps the ascending indices of that kind
-# realized so far.  A ContextVar keeps each thread's and context's memo
-# apart.
+# hit is the answer a second computation would give.  A ContextVar keeps
+# each thread's and context's memo apart.
 _call_memo: ContextVar[dict | None] = ContextVar("gemsurf_call_memo", default=None)
 
 # The step results of a call memo that ``reduce`` opened, and None

@@ -11,7 +11,6 @@ witness and the re-chosen weld vertices.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from .core import (
@@ -141,91 +140,61 @@ def make_P2() -> ColoredGraph:
                                 [(1, 4), (2, 6), (3, 5)]))
 
 
-# The blocks every P(m) and T(m) is chained from.  Graphs are immutable, so
-# these are constants, not caches.
-_P1 = make_P1()
-_T1 = make_T1()
-
-
 def make_P(m: int) -> ColoredGraph:
-    """Connected sum of m copies of K4, accumulated left to right.
-
-    Each copy is welded at the accumulator's highest vertex and the fresh
-    copy's vertex 1.  Every call builds a new graph, chained from ``_P1``.
-    """
-    if m < 1:
-        raise ReductionError("P(m) requires m >= 1")
-    return _chain(_P1, _P1, m - 1)
+    """m copies of K4 welded in a row, each at the previous one's highest vertex
+    and its own vertex 1.  On n = 2m+2 vertices, color 0 joins v and v+1 for odd
+    v; color 1 joins v and v+1 for even v < n, and n and 1; color 2 joins 1 and
+    3, v and v+3 for even v <= n-4, and n-2 and n."""
+    return _form_graph(form_P(m))
 
 
 def make_T(m: int) -> ColoredGraph:
-    """Connected sum of m copies of the torus graph, accumulated left to right.
-
-    Welds pair the accumulator's highest vertex, which is even, with vertex
-    1 of the fresh copy, so ``_weld``'s type rule holds at every step.
-    Every call builds a new graph, chained from ``_T1``.
-    """
-    if m < 1:
-        raise ReductionError("T(m) requires m >= 1")
-    return _chain(_T1, _T1, m - 1)
+    """m torus graphs welded in a row as in ``make_P``.  On n = 4m+2 vertices,
+    colors 0 and 1 are as in ``make_P``; color 2 joins 1 and 4, v and v+3 for
+    v = 2 (mod 4) with v <= n-4, v and v+5 for v = 3 (mod 4) with v <= n-7,
+    and n-3 and n."""
+    return _form_graph(form_T(m))
 
 
-def _chain(acc: ColoredGraph, block: ColoredGraph, k: int) -> ColoredGraph:
-    """acc with k copies of block appended, each welded at the accumulator's
-    highest vertex and its own vertex 1, built in one pass over three
-    growing rows.
+def _join(row: list, first: int, last: int, step: int, d: int) -> None:
+    """Join v and v+d in ``row`` for v = first, first+step, ..., up to last."""
+    row[first:last + 1:step] = range(first + d, last + d + 1, step)
+    row[first + d:last + d + 1:step] = range(first, last + 1, step)
 
-    This is ``connected_sum(acc, acc.n, block, 1)`` folded k times.  The
-    deleted vertex is always the accumulator's highest, so the others keep
-    their numbers and block vertices 2..b follow, shifted by n-2.  Time and
-    memory are linear in the result and no graph between acc and the
-    result is built, so a large index read from a file costs only the form
-    itself.
-    """
-    rows = [list(row) for row in acc.matchings]
-    for _ in range(k):
-        shift = len(rows[0]) - 3  # the highest vertex, about to be deleted, minus 2
-        for row, nbr in zip(rows, block.matchings):
-            end = row.pop()
-            row.extend(v + shift for v in nbr[2:])
-            w = nbr[1] + shift
-            row[end], row[w] = w, end
-    return graph_from_matchings(len(rows[0]) - 1, *rows)
+
+def _form_graph(form: CanonicalForm) -> ColoredGraph:
+    """A new graph of ``form``, its rows written from ``make_P``'s or ``make_T``'s formulas."""
+    if form.kind == "L":
+        return make_L()
+    n = form.vertex_count
+    m0, m1, m2 = ([0] * (n + 1) for _ in range(3))
+    _join(m0, 1, n - 1, 2, 1)
+    _join(m1, 2, n - 2, 2, 1)
+    m1[1], m1[n] = n, 1
+    if form.kind == "P":
+        _join(m2, 2, n - 4, 2, 3)
+        m2[1], m2[3], m2[n - 2], m2[n] = 3, 1, n, n - 2
+    else:
+        _join(m2, 2, n - 4, 4, 3)
+        _join(m2, 3, n - 7, 4, 5)
+        m2[1], m2[4], m2[n - 3], m2[n] = 4, 1, n, n - 3
+    return graph_from_matchings(n, m0, m1, m2)
 
 
 def realize(form: CanonicalForm) -> ColoredGraph:
     """The canonical graph of ``form``, built once per ``reduce`` or
     ``verify_certificate`` call and kept only until that call returns."""
-    return _memoized(form, _build_form, form)
-
-
-def _build_form(form: CanonicalForm) -> ColoredGraph:
-    """A new graph of ``form``: P(m) and T(m) extend the largest form of their
-    kind with a smaller index that the open call memo holds, or the block.
-
-    P(m) is P(j) with m-j more K4 blocks chained on, and T(m) likewise, so
-    a fold-up that asks for F(m+1) after F(m) pays one block per form."""
-    if form.kind == "L":
-        return make_L()
-    block = _P1 if form.kind == "P" else _T1
-    # The indices of this kind realized so far in the call, ascending; a
-    # fresh list when no call memo is open.
-    done = _memoized(form.kind, list)
-    i = bisect.bisect_left(done, form.m)
-    j = done[i - 1] if i else 1
-    h = _chain(realize(CanonicalForm(form.kind, j)) if i else block, block, form.m - j)
-    done.insert(i, form.m)
-    return h
+    return _memoized(form, _form_graph, form)
 
 
 def _weld(f_a: CanonicalForm, a: int, f_b: CanonicalForm, b: int) -> ColoredGraph:
     """connected_sum(realize(f_a), a, realize(f_b), b); unless a form is a P,
     a and b must differ in type.  A bipartite normal form is 2-coloured by
-    vertex parity, odd vertices black: L has vertices 1 and 2, each edge of
-    T1 joins an odd and an even vertex, and ``_chain`` shifts each block by
-    the even n-2 and joins the deleted highest vertex's odd neighbours to
-    the block's vertex-1 neighbours, which are even.  Inside ``reduce`` the
-    joined graph is kept in the step memo under the four values."""
+    vertex parity, odd vertices black: L has vertices 1 and 2, and by the
+    formulas of ``make_T`` every edge of T(m) joins an odd and an even
+    vertex.  P(m) holds the triangle 1-2-3, so it is not bipartite.  Inside
+    ``reduce`` the joined graph is kept in the step memo under the four
+    values."""
     joined = _kept_step((f_a, a, f_b, b), (), connected_sum, realize(f_a), a, realize(f_b), b)
     if "P" not in (f_a.kind, f_b.kind) and a % 2 == b % 2:
         raise GemError(f"type rule violated: vertices {a} and {b} are both "
@@ -372,8 +341,9 @@ def _verify_node(g: ColoredGraph, node: Cert):
         else:
             raise CertificateError(f"unknown certificate node {node!r}")
         node = node.rest
-    # Compare sizes before realize: a claimed form's size is untrusted.
-    if not (node.form.vertex_count == g.n
+    # Compare sizes before realize: a claimed form's size is untrusted.  A
+    # witness of g.n pairs that is a bijection repeats no vertex.
+    if not (node.form.vertex_count == g.n == len(node.mapping)
             and _maps_onto(g, realize(node.form), dict(node.mapping))):
         raise CertificateError(f"isomorphism witness onto {node.form} is invalid")
     return node.form
@@ -596,7 +566,8 @@ def rewrite_TP1_to_P3(g: ColoredGraph, seam: Seam) -> tuple[MoveTrace, ColoredGr
         raise ReductionError(f"rewrite applies to 8-vertex graphs, got n={g.n}")
     s_a, _, s_b, _ = extract_summands(g, seam)
     t_sum, p_sum, t_side = (s_a, s_b, seam.side_a) if s_a.n == 6 else (s_b, s_a, seam.side_b)
-    if are_isomorphic(t_sum, _T1) is None or are_isomorphic(p_sum, _P1) is None:
+    if (are_isomorphic(t_sum, realize(form_T(1))) is None
+            or are_isomorphic(p_sum, realize(form_P(1))) is None):
         raise ReductionError("seam summands are not the torus graph and K4")
     h5, h1, h3 = (u if u in t_side else v for (u, v) in seam.edges)
     h2, h4, k4 = g.matchings[0][h1], g.matchings[0][h3], g.matchings[1][h1]

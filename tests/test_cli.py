@@ -189,6 +189,20 @@ def test_verify_tampered_named_step(tmp_path, capsys):
     assert "step 2" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_witness_that_lists_a_vertex_twice(tmp_path, capsys):
+    gf = str(tmp_path / "t2.gem")
+    tf = str(tmp_path / "t2.cert")
+    assert main(["gen", "T", "2", "-o", gf]) == 0
+    assert main(["reduce", gf, "-o", tf]) == 0
+    lines = (tmp_path / "t2.cert").read_text().splitlines()
+    at = max(i for i, line in enumerate(lines) if line.startswith("conclude T1 map="))
+    lines[at] = lines[at].replace("map=", "map=1-2,", 1)
+    bad = write(tmp_path, "bad.cert", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gf, bad]) == 1
+    assert "isomorphism witness onto T(1) is invalid" in capsys.readouterr().err
+
+
 def test_verify_pure_trace(tmp_path, capsys):
     g = gs.make_T(2)
     sp = gs.split_off_T1(g)

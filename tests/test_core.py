@@ -608,7 +608,10 @@ def test_edge_by_edge_witness_agrees_with_relabel():
     assert True in verdicts and False in verdicts
     # Both verdicts reach verify_certificate unchanged.
     g = gs.make_T1()
-    for pairs, ok in (([(v, v) for v in range(1, 7)], True), ([(1, 1)] * 6, False)):
+    identity = [(v, v) for v in range(1, 7)]
+    for pairs, ok in ((identity, True), ([(1, 1)] * 6, False),
+                      ([(1, 2)] + identity, False),    # a repeated key, last wins in a dict
+                      (identity + [(3, 3)], False)):   # a repeated pair
         cert = gs.ReductionCertificate(gs.form_T(1), gs.IsoCert(gs.form_T(1), tuple(pairs)))
         if ok:
             assert gs.verify_certificate(g, cert) == gs.form_T(1)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import gc
 import inspect
 import random
@@ -69,24 +70,31 @@ def test_family_structure():
 
 
 def test_family_bad_index():
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="P requires index m >= 1"):
         gs.make_P(0)
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="T requires index m >= 1"):
         gs.make_T(0)
 
 
-def left_fold(block, k):
-    """k copies of block, each welded at the accumulator's last vertex and its vertex 1."""
-    g = block
-    for _ in range(k - 1):
-        g = gs.connected_sum(g, g.n, block, 1)
-    return g
+@functools.cache
+def left_fold(kind, k):
+    """k copies of ``make_P1()`` or ``make_T1()``, each welded at the
+    accumulator's last vertex and its vertex 1; the fold of k-1 is kept."""
+    block = gs.make_P1() if kind == "P" else gs.make_T1()
+    if k == 1:
+        return block
+    g = left_fold(kind, k - 1)
+    return gs.connected_sum(g, g.n, block, 1)
 
 
 def test_families_equal_the_left_fold():
-    for k in range(1, 21):
-        assert gs.make_P(k) == left_fold(gs.make_P1(), k)
-        assert gs.make_T(k) == left_fold(gs.make_T1(), k)
+    for k in range(1, 65):
+        assert gs.make_P(k) == left_fold("P", k)
+        assert gs.make_T(k) == left_fold("T", k)
+    with moves._open_call_memo():  # largest first
+        for k in range(64, 0, -1):
+            for kind in "PT":
+                assert gs.realize(CanonicalForm(kind, k)) == left_fold(kind, k)
 
 
 def test_bipartite_forms_are_coloured_by_vertex_parity():
@@ -594,59 +602,37 @@ def test_verify_reuses_the_memo_of_reduce(monkeypatch):
     assert len({id(memo) for _, memo in memos}) == 1 and memos[0][1]
 
 
-def _count_chains(monkeypatch):
-    """Record (block size, result size, blocks appended) for every ``_chain``
-    call, and a weakref to its graph."""
+def _count_forms(monkeypatch):
+    """Record the form of every ``_form_graph`` call, and a weakref to its graph."""
     built, refs = [], []
-    chain = gs.reduction._chain
+    build = gs.reduction._form_graph
 
-    def counted(acc, block, k):
-        h = chain(acc, block, k)
-        built.append((block.n, h.n, k))
+    def counted(form):
+        h = build(form)
+        built.append(form)
         refs.append(weakref.ref(h))
         return h
 
-    monkeypatch.setattr(gs.reduction, "_chain", counted)
+    monkeypatch.setattr(gs.reduction, "_form_graph", counted)
     return built, refs
 
 
 @on_four_inputs
 def test_reduce_builds_each_form_once(monkeypatch, g):
-    built, _ = _count_chains(monkeypatch)
+    built, _ = _count_forms(monkeypatch)
     gs.reduce(g)
-    counts = collections.Counter((b, n) for b, n, _ in built)
-    assert any(n > b for b, n in counts) and set(counts.values()) == {1}
-
-
-@on_four_inputs
-def test_forms_extend_the_largest_form_realized(monkeypatch, g):
-    """One ``reduce``, and one stand-alone ``verify_certificate``, append at
-    most the largest index of each kind plus one block per form: each form
-    extends the largest one of its kind the call holds.  Chaining every
-    form from its block appended the sum of the indices, less one each."""
-    built, _ = _count_chains(monkeypatch)
-    form, cert = gs.reduce(g)
-    in_reduce = built[:]
-    built.clear()
-    assert gs.verify_certificate(g, cert) == form
-    for calls in (in_reduce, built):
-        largest = collections.defaultdict(int)  # per block size
-        for b, n, _ in calls:
-            largest[b] = max(largest[b], (n - 2) // (b - 2))
-        appended = sum(k for _, _, k in calls)
-        from_blocks = sum((n - 2) // (b - 2) - 1 for b, n, _ in calls)
-        assert appended <= sum(largest.values()) + len(calls) < from_blocks
+    counts = collections.Counter(built)
+    assert any(form.m > 1 for form in counts) and set(counts.values()) == {1}
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from("PT"), st.integers(1, 60)), max_size=12))
+@given(st.lists(st.tuples(st.sampled_from("PT"), st.integers(1, 64)), max_size=12))
 def test_realize_in_one_memo_equals_the_builders(requests):
-    """In one open call memo, forms asked for in any order are the graphs
-    ``make_P`` and ``make_T`` build."""
+    """In one open call memo, forms asked for in any order are the left
+    folds of their blocks."""
     with moves._open_call_memo():
         for kind, m in requests:
-            expected = gs.make_P(m) if kind == "P" else gs.make_T(m)
-            assert gs.realize(CanonicalForm(kind, m)) == expected
+            assert gs.realize(CanonicalForm(kind, m)) == left_fold(kind, m)
 
 
 def _count_steps(monkeypatch):
@@ -710,7 +696,7 @@ def test_no_form_outlives_its_call(monkeypatch):
     """Nothing keeps a realized form or a step's graph once ``reduce`` or
     ``verify`` returns; the certificate refers to forms by name only."""
     g = gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2)
-    _, refs = _count_chains(monkeypatch)
+    _, refs = _count_forms(monkeypatch)
     _, _, step_refs = _count_steps(monkeypatch)
     form, cert = gs.reduce(g)
     assert refs and step_refs
@@ -876,14 +862,14 @@ def test_oversized_conclusion_rejected_before_realize(monkeypatch, block):
     lines[at] = "conclude T100000 " + lines[at].split()[2]
     bad = fileio.parse_certificate("\n".join(lines) + "\n")
 
-    chain = gs.reduction._chain
+    build = gs.reduction._form_graph
 
-    def guarded(acc, block, k):
-        if acc.n + k * (block.n - 2) == 4 * 100000 + 2:
+    def guarded(form):
+        if form == form_T(100000):
             raise AssertionError("T(100000) built before the size check")
-        return chain(acc, block, k)
+        return build(form)
 
-    monkeypatch.setattr(gs.reduction, "_chain", guarded)
+    monkeypatch.setattr(gs.reduction, "_form_graph", guarded)
     with pytest.raises(CertificateError):
         gs.verify_certificate(g, bad)
 

@@ -97,6 +97,23 @@ def test_families_equal_the_left_fold():
                 assert gs.realize(CanonicalForm(kind, k)) == left_fold(kind, k)
 
 
+def test_forms_beyond_the_vertex_table_equal_the_left_fold(monkeypatch):
+    """A form with more vertices than ``_VERTICES`` holds makes its own ints."""
+    monkeypatch.setattr(gs.reduction, "_VERTICES", tuple(range(11)))
+    for k in range(1, 17):
+        assert gs.make_P(k) == left_fold("P", k)
+        assert gs.make_T(k) == left_fold("T", k)
+
+
+def test_forms_share_their_vertex_ints():
+    """A call keeps all of its forms, so their rows hold the ints of
+    ``_VERTICES``; only the few corner entries written from n do not."""
+    table = {id(v) for v in gs.reduction._VERTICES}
+    for g in (gs.make_P(600), gs.make_T(600)):
+        own = [v for row in g.matchings for v in row if id(v) not in table]
+        assert len(own) <= 6 and g.n > 1000
+
+
 def test_bipartite_forms_are_coloured_by_vertex_parity():
     """``_weld`` reads the type rule off vertex parity: odd vertices are black."""
     for form in [form_L()] + [form_T(m) for m in range(1, 41)]:

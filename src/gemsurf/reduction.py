@@ -390,8 +390,8 @@ class SplitOff:
     piece_cert: IsoCert
 
 
-def _choose_anchor(g: ColoredGraph, bipartite: bool):
-    """Check a split's preconditions, then choose its labeling deterministically.
+def _anchors(g: ColoredGraph, bipartite: bool):
+    """Check a split's preconditions, then yield its anchors in a fixed order.
 
     The caller has found g ``bipartite`` or not; the parity check is its own.
 
@@ -403,8 +403,9 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool):
     split and odd for the K4 split.  The crossing color-2 edge (v_s, v_t)
     with t > j is taken with smallest s then t, s running over the odd
     positions in [3, j-1] for the torus split and over [2, j-1] for the K4
-    split.  The least (j, s, t) wins, first found on ties, and only its
-    labeling is built.  Returns (labeling, j, s, t); labeling[k] is v_k.
+    split.  Anchors come least (j, s, t) first, first found on ties, and
+    only the labeling of an anchor taken is built.  Yields
+    (labeling, j, s, t); labeling[k] is v_k.
     """
     if not is_contracted(g):
         raise ReductionError("split requires a contracted graph")
@@ -416,7 +417,7 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool):
     cyc = _cycle(g.matchings[0], g.matchings[1], 1)
     at = {v: k for k, v in enumerate(cyc)}
     partner = [at[g.matchings[2][v]] for v in cyc]  # cycle index of cyc[k]'s partner
-    best = None
+    found = []
     for off in (*range(0, n, 2), *range(1, n, 2)):
         d = -1 if off % 2 else 1
         j = d * (partner[off] - off) % n + 1
@@ -429,12 +430,17 @@ def _choose_anchor(g: ColoredGraph, bipartite: bool):
         else:
             raise ReductionError(
                 "internal: no crossing color-2 edge; contradicts Hamiltonicity")
-        if best is None or (j, s, t) < best[0]:
-            best = ((j, s, t), off, d)
-    if best is None:
+        found.append(((j, s, t), off, d))
+    if not found:
         raise ReductionError("internal: no color-2 edge from v1 of the required parity")
-    (j, s, t), off, d = best
-    return [0] + [cyc[(off + d * k) % n] for k in range(n)], j, s, t
+    found.sort(key=lambda anchor: anchor[0])  # stable: first found on ties
+    for (j, s, t), off, d in found:
+        yield [0] + [cyc[(off + d * k) % n] for k in range(n)], j, s, t
+
+
+def _choose_anchor(g: ColoredGraph, bipartite: bool):
+    """The least anchor of ``_anchors``, which the public splits take."""
+    return next(_anchors(g, bipartite))
 
 
 def _check_split_input(g: ColoredGraph, bipartite: bool) -> None:
@@ -624,22 +630,18 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
     """Open the compose record for the summands x and y of ``seam``.
 
     Returns the canonical welding of both conclusions and a function that
-    closes the record once ``rest`` certifies that welding.  A P form is
-    welded at its vertex 1 to a T form's highest vertex; otherwise the
-    first form's highest vertex, which is even, meets the second's vertex
-    1, which is odd, so ``_weld``'s type rule holds.
+    closes the record once ``rest`` certifies that welding.  The first
+    form's highest vertex, which is even, meets the second's vertex 1,
+    which is odd, so ``_weld``'s type rule holds.
     """
     g_a, left, g_b, right = (x, x_cert, y, y_cert) if x_is_a else (y, y_cert, x, x_cert)
     f_a, f_b = certificate_conclusion(left), certificate_conclusion(right)
-    if (f_a.kind, f_b.kind) == ("P", "T"):
-        welds = (1, f_b.vertex_count)
-    else:
-        welds = (f_a.vertex_count, 1)
-    joined = _weld(f_a, welds[0], f_b, welds[1])
+    weld_a = f_a.vertex_count
+    joined = _weld(f_a, weld_a, f_b, 1)
     edges = seam.edges  # not the seam, which keeps the graph it cut alive
 
     def close(rest: Cert) -> RecombineCert:
-        return RecombineCert(edges, left, right, *welds, rest,
+        return RecombineCert(edges, left, right, weld_a, 1, rest,
                              _fingerprint_of(g_a, left), _fingerprint_of(g_b, right),
                              _fingerprint_of(joined, rest))
     return joined, close
@@ -648,85 +650,31 @@ def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_ce
 def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     """Split off torus or K4 blocks down to n <= 6, then fold the splits back up.
 
-    g is ``bipartite`` or not, as the caller found.  Each remainder is
-    2-coloured once, here, and its split is told the result instead of
-    2-colouring it again.
+    g is ``bipartite`` or not, as the caller found, and every remainder
+    keeps that parity: a summand of a bipartite graph is bipartite, since
+    the three seam edges leave one side from vertices of one colour, and a
+    K4 split is taken only where its remainder is not.  So each fold-up
+    welds P(1) to P(k) or T(1) to T(k).
     """
     splits = []
     while g.n > 6:
-        anchor = _choose_anchor(g, bipartite)
-        splits.append(_split_T1(g, *anchor) if bipartite else _split_P1(g, *anchor))
+        splits.append(_split_T1(g, *_choose_anchor(g, True)) if bipartite else _keeping_split(g))
         g = splits[-1].remainder
-        bipartite = is_bipartite(g) is not None
     node = _iso_cert(g, canonical_of(g.n, bipartite))
     for sp in reversed(splits):
         rem = certificate_conclusion(node)
         joined, close = _congruence(sp.seam, sp.piece, sp.piece_cert,
                                     sp.remainder, node, sp.piece_is_side_a)
-        if rem.kind == sp.piece_cert.form.kind:
-            rest = _iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1))
-        else:
-            rest = _mixed_chain(joined, rem.m, sp.piece_is_side_a)
-        node = TraceCert(sp.trace, close(rest))
+        node = TraceCert(sp.trace, close(_iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1))))
     return node
 
 
-def _welding_ids(m: int, j: int, p_first: bool) -> tuple[range, range]:
-    """The ids of P(m)'s vertices 2..2m+2 and of T(j)'s vertices 1..4j+1 in
-    their canonical welding (P(m) at vertex 1, T(j) at 4j+2), P(m) first or not."""
-    p, t = 2 * m + 1, 4 * j + 1
-    if p_first:
-        return range(1, p + 1), range(p + 1, p + t + 1)
-    return range(t + 1, t + p + 1), range(1, t + 1)
-
-
-def _mixed_chain(w: ColoredGraph, k: int, p_first: bool) -> Cert:
-    """Certificate for the canonical welding w of P(1) and T(k); concludes P(2k+1).
-
-    One 8-vertex rewrite per torus block, last block first.  While torus
-    blocks remain before it, the summand holding the P(m) part and the last
-    block is recombined into the canonical welding of P(m) and T(1), which
-    ``_rewrite_block`` certifies, and the chain goes on with P(m+2) welded
-    to T(j-1).  The records are closed from the last one back.
-    """
-    closes, m = [], 1
-    for j in range(k, 1, -1):
-        p_ids, t_ids = _welding_ids(m, j, p_first)
-        prev = frozenset(t_ids[:4 * j - 3])  # the T(j-1) part
-        seam, prev_sum, big, prev_is_a = _summands_at(w, prev)
-        inner = renumbering(w.n, prev)
-        seam_b, p_sum, t_sum, p_first_b = _summands_at(big, frozenset(inner[v] for v in p_ids))
-        w_b, close_b = _congruence(seam_b, p_sum, _iso_cert(p_sum, form_P(m)),
-                                   t_sum, _iso_cert(t_sum, form_T(1)), p_first_b)
-        big_cert = close_b(_rewrite_block(w_b, m, p_first_b))
-        w, close = _congruence(seam, prev_sum, _iso_cert(prev_sum, form_T(j - 1)),
-                               big, big_cert, prev_is_a)
-        closes.append(close)
-        m, p_first = m + 2, not prev_is_a
-    node = _rewrite_block(w, m, p_first)
-    for close in reversed(closes):
-        node = close(node)
-    return node
-
-
-def _rewrite_block(w: ColoredGraph, m: int, p_first: bool) -> Cert:
-    """Certificate for the canonical welding w of P(m) and T(1); concludes P(m+2).
-
-    The 8-vertex rewrite takes the torus block and the K4 block welded to
-    it to P(3); where m >= 3 the P(m-1) tail is detached first.
-    """
-    p_ids, _ = _welding_ids(m, 1, p_first)
-    if m > 1:
-        # P(m)'s vertices 2 and 3 and rew's apex form the K4 block; 4.. are the tail.
-        seam, tail, rew, tail_is_a = _summands_at(w, frozenset(p_ids[2:]))
-        inner = renumbering(w.n, p_ids[2:])
-        k4 = frozenset((inner[p_ids[0]], inner[p_ids[1]], rew.n))
-    else:
-        rew, k4 = w, frozenset(p_ids)
-    trace, p3 = rewrite_TP1_to_P3(rew, seam_from_side(rew, k4))
-    node = TraceCert(trace, _iso_cert(p3, form_P(3)))
-    if m == 1:
-        return node
-    joined, close = _congruence(seam, tail, _iso_cert(tail, form_P(m - 1)),
-                                rew, node, tail_is_a)
-    return close(_iso_cert(joined, form_P(m + 2)))
+def _keeping_split(g: ColoredGraph) -> SplitOff:
+    """The K4 split of the non-bipartite g at the least anchor whose
+    remainder is not bipartite; each remainder is 2-coloured once, here."""
+    for anchor in _anchors(g, bipartite=False):
+        sp = _split_P1(g, *anchor)
+        if is_bipartite(sp.remainder) is None:
+            return sp
+    raise ReductionError("internal: no K4 split keeps the remainder non-bipartite "
+                         f"on {g.n} vertices")

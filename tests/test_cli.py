@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +202,30 @@ def test_verify_rejects_a_witness_that_lists_a_vertex_twice(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", gf, bad]) == 1
     assert "isomorphism witness onto T(1) is invalid" in capsys.readouterr().err
+
+
+# Certificates that ``reduce`` wrote while a K4 split could leave a torus
+# remainder: they weld P(1) to T(k) and rewrite a torus # K4 sum to P(3).
+PT_WELD_CERTS = Path(__file__).with_name("pt_weld_certs")
+
+
+@pytest.mark.parametrize("name, form", [("sum-P1-T2-n12", "P(5)"), ("sum-T3-P2-n18", "P(8)")])
+def test_verify_accepts_certificates_with_pt_welds(tmp_path, capsys, name, form):
+    gf, cf = (str(PT_WELD_CERTS / f"{name}.{ext}") for ext in ("gem", "cert"))
+    assert main(["verify", gf, cf]) == 0
+    assert capsys.readouterr().out == f"verified: {form}\n"
+
+    lines = Path(cf).read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("cutglue c=1 "))
+    fields = dict(tok.split("=", 1) for tok in lines[at].split() if "=" in tok)
+    arc = fields["arc"]
+    ends = next(edge.split(":")[1].split("-") for edge in (fields["ea"], fields["eb"])
+                if arc in edge.split(":")[1].split("-"))
+    other = ends[0] if ends[1] == arc else ends[1]
+    lines[at] = lines[at].replace(f" arc={arc} ", f" arc={other} ")
+    bad = write(tmp_path, "bad.cert", "\n".join(lines) + "\n")
+    assert main(["verify", gf, bad]) == 1
+    assert "verification failed" in capsys.readouterr().err
 
 
 def test_verify_pure_trace(tmp_path, capsys):

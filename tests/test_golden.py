@@ -50,7 +50,8 @@ LARGE = CORPUS.with_name("large.json")
 SUMS = (("T5", "P3"), ("P7", "P8"), ("T4", "T7"), ("T11", "P2"), ("P15", "T8"),
         ("T12", "T12"))
 # Every T(k) # P(m) with k in 2..4, m in 1..3 and n <= 20, in both orders.
-# Among them P1 # T2 reaches the mixed chain with the K4 side first.
+# Each reduces by K4 splits alone, rejecting the anchors whose split leaves a
+# bipartite remainder.
 MIXED_SUMS = tuple((f"T{k}", f"P{m}") for k in (2, 3, 4) for m in (1, 2, 3)
                    if 4 * k + 2 * m + 2 <= 20)
 MIXED_SUMS += tuple((b, a) for a, b in MIXED_SUMS)

@@ -299,37 +299,6 @@ def test_rewrite_all_weldings():
             assert gs.are_isomorphic(final, p3) is not None
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("p", [1, 2])
-def test_reduce_rewrites_once_per_torus_block(monkeypatch, p, k):
-    """Each rewrite runs once, and ``reduce`` takes the graph it recorded.
-
-    So no ``apply_move`` call replays the rewrite's move on its 8-vertex
-    input.  The count is taken on those inputs, not on every 8-vertex
-    graph: a K4 split of an 8-vertex sum moves one too.
-    """
-    rewrite, apply_move = gs.reduction.rewrite_TP1_to_P3, gs.reduction.apply_move
-    inputs, replays = [], []
-
-    def counted(g, seam):
-        inputs.append(g)
-        return rewrite(g, seam)
-
-    def counted_apply(g, move):
-        if any(g is h for h in inputs):
-            replays.append(move)
-        return apply_move(g, move)
-
-    monkeypatch.setattr(gs.reduction, "rewrite_TP1_to_P3", counted)
-    monkeypatch.setattr(gs.reduction, "apply_move", counted_apply)
-    pk, tk = gs.make_P(p), gs.make_T(k)
-    for v, w in ((1, 1), (pk.n, 1), (1, tk.n)):
-        inputs.clear()
-        assert gs.reduce(gs.connected_sum(pk, v, tk, w))[0] == form_P(p + 2 * k)
-        assert [h.n for h in inputs] == [8] * k
-        assert replays == []
-
-
 def test_rewrite_rejects_wrong_graph():
     p3 = gs.make_P(3)
     with pytest.raises(ReductionError, match="seam summands are not the torus graph and K4"):
@@ -374,21 +343,105 @@ def test_reduce_ten_vertex_classes():
         assert gs.verify_certificate(e.graph, cert) == form
 
 
-def test_reduce_mixed_chain_deep():
-    g = gs.connected_sum(gs.make_T(3), 5, gs.make_P1(), 2)
-    form, cert = gs.reduce(g)
-    assert form == form_P(7)
-    # the chain applies the 8-vertex rewrite once per torus block
-    def count_rewrites(node):
-        if isinstance(node, IsoCert):
-            return 0
+def _records(cert):
+    """The trace records and the compose records of ``cert``, in tree order."""
+    traces, composes, stack = [], [], [cert.root]
+    while stack:
+        node = stack.pop()
         if isinstance(node, TraceCert):
-            inner = sum(1 for (m, _) in node.trace.steps
-                        if isinstance(m, gs.CutGlue) and m.cut.cut_color == 1)
-            return inner + count_rewrites(node.rest)
-        return (count_rewrites(node.left) + count_rewrites(node.right)
-                + count_rewrites(node.rest))
-    assert count_rewrites(cert.root) == 3
+            traces.append(node)
+            stack.append(node.rest)
+        elif isinstance(node, gs.RecombineCert):
+            composes.append(node)
+            stack += [node.rest, node.right, node.left]
+    return traces, composes
+
+
+def assert_parity_kept(cert, kind):
+    """Every trace of ``cert`` is one K4 split's move, or two torus split
+    moves, and every compose record welds two forms of ``kind``."""
+    traces, composes = _records(cert)
+    for node in traces:
+        moves_made = [move for move, _ in node.trace.steps]
+        assert len(moves_made) == (1 if kind == "P" else 2)
+        assert all(isinstance(m, gs.CutGlue) and m.cut.cut_color == 2 for m in moves_made)
+    assert {(certificate_conclusion(r.left).kind, certificate_conclusion(r.right).kind)
+            for r in composes} <= {(kind, kind)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+def test_reduce_mixed_sum_welds_only_p_forms(monkeypatch, p, k):
+    """A K4 split never leaves a torus remainder, so ``reduce`` takes P(p) #
+    T(k) to P(p+2k) by K4 splits alone, with no 8-vertex rewrite."""
+    def refused(g, seam):
+        raise AssertionError("rewrite_TP1_to_P3 called")
+
+    monkeypatch.setattr(gs.reduction, "rewrite_TP1_to_P3", refused)
+    pk, tk = gs.make_P(p), gs.make_T(k)
+    for g in (gs.connected_sum(pk, 1, tk, 1), gs.connected_sum(pk, pk.n, tk, 1),
+              gs.connected_sum(pk, 1, tk, tk.n), gs.connected_sum(tk, 5, pk, 2)):
+        form, cert = gs.reduce(g)
+        assert form == form_P(p + 2 * k)
+        assert_parity_kept(cert, "P")
+
+
+def test_reduce_raises_when_no_split_keeps_the_parity(monkeypatch):
+    """Where every K4 split leaves a bipartite remainder, ``reduce`` says so
+    rather than end the anchor scan with a bare StopIteration."""
+    g = gs.connected_sum(gs.make_T(2), 5, gs.make_P1(), 2)
+    is_bipartite = gs.reduction.is_bipartite
+
+    def every_remainder_bipartite(h):
+        return is_bipartite(h) if h is g else is_bipartite(gs.make_T1())
+
+    monkeypatch.setattr(gs.reduction, "is_bipartite", every_remainder_bipartite)
+    with pytest.raises(ReductionError, match="no K4 split keeps the remainder non-bipartite"):
+        gs.reduce(g)
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_reduce_every_catalog_class_keeping_its_parity(n):
+    catalog = enumerate_contracted(n, bound=14)
+    forms = collections.Counter()
+    for e in catalog.classes:
+        form, cert = gs.reduce(e.graph)
+        assert form == gs.canonical_of(n, e.bipartite)
+        assert_parity_kept(cert, form.kind)
+        forms[form] += 1
+    if n == 14:
+        assert forms == {form_P(6): 1136, form_T(3): 25}
+
+
+@pytest.mark.slow
+def test_reduce_every_catalog_class_at_n16_keeping_its_parity():
+    catalog = enumerate_contracted(16, bound=16)
+    assert len(catalog.classes) == 12504
+    for e in catalog.classes:
+        form, cert = gs.reduce(e.graph)
+        assert form == form_P(7)
+        assert_parity_kept(cert, "P")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(4, 40))
+def test_reduce_random_non_bipartite_keeps_its_parity(seed, half):
+    g = random_contracted(random.Random(seed), 2 * half, False)
+    form, cert = gs.reduce(g)
+    assert form == gs.canonical_of(g.n, False)
+    assert_parity_kept(cert, "P")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40), st.data())
+def test_reduce_p_and_t_sum_keeps_its_parity(m, k, data):
+    pm, tk = gs.make_P(m), gs.make_T(k)
+    v, w = data.draw(st.integers(1, pm.n)), data.draw(st.integers(1, tk.n))
+    g = gs.connected_sum(pm, v, tk, w) if data.draw(st.booleans()) else \
+        gs.connected_sum(tk, w, pm, v)
+    form, cert = gs.reduce(g)
+    assert form == form_P(m + 2 * k)
+    assert_parity_kept(cert, "P")
 
 
 def _max_stack_depth(fn):
@@ -502,7 +555,7 @@ def test_compose_records_label_forms_not_their_isomorphs(monkeypatch):
     isomorphs = [h.matchings for h, form in witnessed if h != gs.realize(form)]
     assert len(isomorphs) > 10
     assert set(isomorphs).isdisjoint(labelled)
-    assert len(labelled) == len(set(labelled)) == 136
+    assert len(labelled) == len(set(labelled)) == 93
 
 
 @on_four_inputs
@@ -523,8 +576,8 @@ def test_reduce_and_verify_build_no_throwaway_graph(monkeypatch, g):
 
 
 def test_reduce_two_colours_each_remainder_once(monkeypatch):
-    """``reduce`` 2-colours its input and ``_reduce_node`` each remainder,
-    once each, and hands the split the result."""
+    """``reduce`` 2-colours its input, and each remainder of a K4 split once;
+    a bipartite input's remainders are bipartite, so they are not 2-coloured."""
     g = random_contracted(random.Random(67), 66, False)
     coloured = []
     is_bipartite = gs.core.is_bipartite
@@ -538,6 +591,11 @@ def test_reduce_two_colours_each_remainder_once(monkeypatch):
     counts = collections.Counter(coloured)
     assert counts.pop(g.matchings) == 1
     assert len(counts) > 20 and set(counts.values()) == {1}
+
+    coloured.clear()
+    h = random_contracted(random.Random(67), 66, True)
+    gs.reduce(h)
+    assert coloured == [h.matchings]
 
 
 def test_verify_welds_forms_without_two_colouring(monkeypatch):
@@ -681,9 +739,11 @@ def test_reduce_builds_each_step_once(monkeypatch, g):
     """The self-verify of ``reduce`` reads every move, seam split and weld
     back from the step memo, so it builds none; a stand-alone verify keeps
     no step memo and builds each of its steps itself, as often as ``reduce``
-    built it (a mixed chain rewrites one 8-vertex graph once per block)."""
+    built it, less the move of each K4 split that ``reduce`` tried and
+    rejected for its bipartite remainder."""
     built, memo_open, _ = _count_steps(monkeypatch)
     verify, self_verify_builds = gs.reduction.verify_certificate, []
+    split_p1, rejected = gs.reduction._split_P1, collections.Counter()
 
     def measured(h, cert):
         before = sum(map(len, built.values()))
@@ -691,7 +751,15 @@ def test_reduce_builds_each_step_once(monkeypatch, g):
         self_verify_builds.append(sum(map(len, built.values())) - before)
         return form
 
+    def tried(h, *anchor):
+        sp = split_p1(h, *anchor)
+        if gs.is_bipartite(sp.remainder) is not None:
+            (move, _), = sp.trace.steps
+            rejected[h.matchings, move.cut, move.glue] += 1
+        return sp
+
     monkeypatch.setattr(gs.reduction, "verify_certificate", measured)
+    monkeypatch.setattr(gs.reduction, "_split_P1", tried)
     form, cert = gs.reduce(g)
     assert self_verify_builds == [0]
     in_reduce = {name: collections.Counter(keys) for name, keys in built.items()}
@@ -701,9 +769,8 @@ def test_reduce_builds_each_step_once(monkeypatch, g):
         keys.clear()
     memo_open.clear()
     assert gs.verify_certificate(g, cert) == form
-    assert collections.Counter(built["cut_and_glue"]) == in_reduce["cut_and_glue"]
+    assert collections.Counter(built["cut_and_glue"]) + rejected == in_reduce["cut_and_glue"]
     assert collections.Counter(built["connected_sum"]) == in_reduce["connected_sum"]
-    # The rewrite's own split of its 8-vertex graph is replayed as a move.
     splits = collections.Counter(built["extract_summands"])
     assert splits and splits <= in_reduce["extract_summands"]
     assert memo_open and not any(memo_open)
@@ -792,18 +859,26 @@ def _swapped_images(args, cert):
     return IsoCert(cert.form, ((u1, v2), (u2, v1), *rest))
 
 
-@pytest.mark.parametrize("g", [
-    random_contracted(random.Random(30), 30, True),
-    gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2),
-], ids=["bipartite-n30", "T6+P3"])
-@pytest.mark.parametrize("name, fault", [
-    ("_detach", _stale_fingerprint),
-    ("_detach", _other_move),
-    ("_congruence", _other_weld),
-    ("_congruence", _other_seam),
-    ("_iso_cert", _swapped_images),
-], ids=["stale-fingerprint", "other-arc", "other-weld", "other-seam", "swapped-witness"])
-def test_self_verify_catches_a_bookkeeping_fault(monkeypatch, g, name, fault):
+_FAULT_INPUTS = {
+    "bipartite-n30": random_contracted(random.Random(30), 30, True),
+    "T6+P3": gs.connected_sum(gs.make_T(6), 5, gs.make_P(3), 2),
+    "T6+T3": gs.connected_sum(gs.make_T(6), 5, gs.make_T(3), 2),
+}
+_FAULTS = {
+    "stale-fingerprint": ("_detach", _stale_fingerprint),
+    "other-arc": ("_detach", _other_move),
+    "other-weld": ("_congruence", _other_weld),
+    "other-seam": ("_congruence", _other_seam),
+    "swapped-witness": ("_iso_cert", _swapped_images),
+}
+
+
+# T6+P3 is not bipartite, so it takes no torus split for other-arc to act on.
+@pytest.mark.parametrize("name, fault, g", [
+    pytest.param(*_FAULTS[f], g, id=f"{f}-{i}")
+    for f in _FAULTS for i, g in _FAULT_INPUTS.items()
+    if (f, i) != ("other-arc", "T6+P3")])
+def test_self_verify_catches_a_bookkeeping_fault(monkeypatch, name, fault, g):
     """One wrong record in ``reduce``'s own certificate fails its self-verify,
     though every step's graph sits in the step memo: a fingerprint of the
     graph before the move, the same cut with z1 on its other arc, other

@@ -386,6 +386,19 @@ def test_reduce_mixed_sum_welds_only_p_forms(monkeypatch, p, k):
         assert_parity_kept(cert, "P")
 
 
+def test_reduce_mixed_chain_deep():
+    """The deep sum T(3) # P(1) reduces to P(7) with no 8-vertex rewrite: no
+    trace holds a colour-1 cut, and the verifier accepts the certificate."""
+    g = gs.connected_sum(gs.make_T(3), 5, gs.make_P1(), 2)
+    form, cert = gs.reduce(g)
+    assert form == form_P(7)
+    traces, _ = _records(cert)
+    assert not any(isinstance(m, gs.CutGlue) and m.cut.cut_color == 1
+                   for node in traces for m, _ in node.trace.steps)
+    assert_parity_kept(cert, "P")
+    assert gs.verify_certificate(g, cert) == form
+
+
 def test_reduce_raises_when_no_split_keeps_the_parity(monkeypatch):
     """Where every K4 split leaves a bipartite remainder, ``reduce`` says so
     rather than end the anchor scan with a bare StopIteration."""

@@ -19,7 +19,9 @@ from .core import (
     Seam,
     _cycle,
     _maps_onto,
+    _rows,
     _seam_from_triple,
+    _step,
     are_isomorphic,
     connected_sum,
     extract_summands,
@@ -34,6 +36,7 @@ from .moves import (
     CutGlue,
     GlueSpec,
     MoveTrace,
+    _fingerprint_text,
     _kept_step,
     _memoized,
     _open_call_memo,
@@ -195,6 +198,46 @@ def realize(form: CanonicalForm) -> ColoredGraph:
     return _memoized(form, _form_graph, form)
 
 
+def _form_fingerprint(form: CanonicalForm) -> str:
+    """``fingerprint(realize(form))``, labelled by one walk from vertex 3 (from
+    1 in L) and kept in the call memo under the key ``fingerprint`` uses.
+
+    ``core._canonical_rows`` keeps the least encoding over all roots, and
+    encodings compare by their m0 rows first.  Every root's m0 entries 0 and
+    1 are 2 and 1, and its entry 2 is the one ``core._m0_entry2`` reads.  So
+    the walk from 3 is a least one:
+
+    * L, P(1) and T(1) are vertex-transitive: every root gives one encoding.
+    * v -> n+1-v is a colour-preserving automorphism of P(m) and T(m), since
+      it maps each formula of ``make_P`` and ``make_T`` onto itself.  So the
+      roots v and n+1-v give one encoding.
+    * In P(m), m >= 2, entry 2 is 4 only where m0[m1[r]] == m2[r], which
+      the formulas give at 3 and n-2 alone (the triangles 1-2-3 and
+      (n-2)-(n-1)-n); 4 is the least an entry 2 can be.  Every other root
+      loses at entry 2, and n-2 is the reflection of 3.
+    * In T(m), m >= 2, the least entry 2 is 6, taken only at 2, 3, n-2 and
+      n-1.  Root 3 beats root 2 at entry 3 (7 against 8), and n-2 and n-1
+      are the reflections of 3 and 2.
+
+    The T facts follow from a finite check: entries 2 and 3 read only
+    vertices a few steps from the root, the rows repeat with period 4 away
+    from vertices 1 and n, and near 1 and n they read the same, counted from
+    1 and from n, once m is large.  The tests check every fact for m <= 256,
+    and up to n = 8194 among the slow tests.
+    """
+    h = realize(form)
+    return _memoized(h.matchings, _walk_label, h, 1 if form.kind == "L" else 3)
+
+
+def _walk_label(h: ColoredGraph, root: int) -> str:
+    """The fingerprint text of the connected h as the walk from ``root`` labels it."""
+    lab, order, row0 = [0] * (h.n + 1), [root], []
+    lab[root] = 1
+    while _step(h.matchings, lab, order, row0):
+        pass
+    return _fingerprint_text(h.n, (row0, *_rows(h.matchings, lab, order)))
+
+
 def _weld(f_a: CanonicalForm, a: int, f_b: CanonicalForm, b: int) -> ColoredGraph:
     """connected_sum(realize(f_a), a, realize(f_b), b); unless a form is a P,
     a and b must differ in type.  A bipartite normal form is 2-coloured by
@@ -261,7 +304,11 @@ class RecombineCert:
 
     ``left_fp``, ``right_fp`` and ``fp`` are the fingerprints of the two
     summands and of the successor graph, as the compose record prints them.
-    The writer copies them out; verification does not trust them.
+    The writer copies them out.  Verification checks a summand's field
+    against F's fingerprint where a witness onto F certifies the summand.
+    A parsed file ties a field that a trace starts from to the trace's
+    initial fingerprint, which the replay checks; an ``fp`` that a conclude
+    follows is not checked.
     """
 
     seam_edges: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
@@ -315,9 +362,10 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     Leaf traces are replayed, isomorphism witnesses re-checked edge by
     edge, every compose seam re-derived from its edge triple before its
     summands are built, and every recombined graph rebuilt by ``_weld``
-    under the type rule.  Fingerprints and forms go through a call memo,
-    ``reduce``'s when it verifies its own certificate; there each move,
-    weld, and seam split with its summands reads back what ``reduce``
+    under the type rule.  A compose field whose summand a witness onto F
+    certifies must be F's fingerprint.  Fingerprints and forms go through a
+    call memo, ``reduce``'s when it verifies its own certificate; there each
+    move, weld, and seam split with its summands reads back what ``reduce``
     derived on the same graph and triple.
     """
     if cert.conclusion.vertex_count != g.n:
@@ -342,6 +390,11 @@ def _verify_node(g: ColoredGraph, node: Cert):
             g1, _, g2, _ = _kept_step((id(g), triple), (g,), _split, g, triple)
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
+            # No trace checks the field of a summand that a witness onto F certifies.
+            for name, sub, fp in (("left", node.left, node.left_fp),
+                                  ("right", node.right, node.right_fp)):
+                if isinstance(sub, IsoCert) and fp != fingerprint(realize(sub.form)):
+                    raise CertificateError(f"compose {name} fingerprint is not that of {sub.form}")
             try:
                 g = _weld(f_a, node.weld_a, f_b, node.weld_b)
             except GemError as exc:
@@ -616,12 +669,12 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
 def _fingerprint_of(g: ColoredGraph, node: Cert) -> str:
     """fingerprint(g) for the graph that ``node`` certifies.  A trace already
     holds it, and a witness onto F, which the self-verify checks, makes it
-    the fingerprint of F's graph, so each form is labelled once per call
-    instead of each isomorph."""
+    the fingerprint of F's graph, so each form is labelled once per call,
+    by one walk, instead of each isomorph."""
     if isinstance(node, TraceCert):
         return node.trace.initial
     if isinstance(node, IsoCert):
-        return fingerprint(realize(node.form))
+        return _form_fingerprint(node.form)
     return fingerprint(g)
 
 
@@ -671,10 +724,45 @@ def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
 
 def _keeping_split(g: ColoredGraph) -> SplitOff:
     """The K4 split of the non-bipartite g at the least anchor whose
-    remainder is not bipartite; each remainder is 2-coloured once, here."""
+    remainder is not bipartite.  The parity is read off each anchor, so only
+    the split taken is built."""
     for anchor in _anchors(g, bipartite=False):
-        sp = _split_P1(g, *anchor)
-        if is_bipartite(sp.remainder) is None:
-            return sp
+        if not _remainder_is_bipartite(g, *anchor):
+            return _split_P1(g, *anchor)
     raise ReductionError("internal: no K4 split keeps the remainder non-bipartite "
                          f"on {g.n} vertices")
+
+
+def _remainder_is_bipartite(g: ColoredGraph, v, j: int, s: int, t: int) -> bool:
+    """Whether the K4 split at the anchor (v, j, s, t) leaves a bipartite
+    remainder, read off the anchor without building the split.
+
+    It does exactly when s and t have the same parity, and every colour-2
+    edge but v_1 v_j joins positions of one parity exactly when it crosses
+    between [2, j-1] and [j+1, n].  (v_s v_t crosses, so the scan below
+    checks the first condition again.)  Proof: the cut leaves the
+    {0,1}-cycles z1 v_2 ... v_{j-1} and v_j ... v_n v_1 z2, and the block
+    {v_1, z2, v_j} contracts to the apex, which takes v_j's place on the
+    second: with z1 at position 1, every vertex keeps the parity of its
+    position on its cycle.  The glue deletes v_s and v_t and joins their
+    colour-0 neighbours, at positions of the parities opposite to s and t,
+    and likewise their colour-1 neighbours.  So on the one {0,1}-cycle of
+    the remainder, which a 2-colouring must alternate along, the second arc
+    follows the first with its parities kept when s and t differ in parity
+    and flipped when they agree.  The seam edge z1-apex joins positions 1
+    and j, both odd, so the remainder is bipartite only with the flip, and
+    then an edge within one arc needs ends of opposite parity and an edge
+    between the arcs ends of one parity.  A wrong answer would be caught:
+    ``reduce`` checks its conclusion, and the self-verify replays each step.
+    """
+    if (s - t) % 2:
+        return False
+    pos = [0] * (g.n + 1)
+    for k, u in enumerate(v):
+        pos[u] = k
+    m2 = g.matchings[2]
+    for p in range(2, g.n + 1):  # each edge at its lower end; v_1 v_j is skipped
+        q = pos[m2[v[p]]]
+        if p < q and ((q - p) % 2 == 0) != (p < j < q):
+            return False
+    return True

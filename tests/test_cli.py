@@ -204,6 +204,29 @@ def test_verify_rejects_a_witness_that_lists_a_vertex_twice(tmp_path, capsys):
     assert "isomorphism witness onto T(1) is invalid" in capsys.readouterr().err
 
 
+def test_verify_checks_the_header_of_a_conclude_only_summand(tmp_path, capsys):
+    """A summand block that holds only a conclude has no trace to check its
+    header, so the witness onto T(1) must make it T(1)'s fingerprint, even
+    when the compose record names the same wrong value."""
+    g = gs.make_T(3)
+    rotated = gs.relabel(g, {v: v % g.n + 1 for v in range(1, g.n + 1)})
+    gf = write(tmp_path, "t3.gem", fileio.write_graph(rotated))
+    cf = str(tmp_path / "t3.cert")
+    assert main(["reduce", gf, "-o", cf]) == 0
+    lines = (tmp_path / "t3.cert").read_text().splitlines()
+    compose = next(i for i, line in enumerate(lines) if line.startswith("compose "))
+    t1 = re.search(r" right=(\S+) ", lines[compose]).group(1)
+    assert lines[-2:] == [f"trace 1 {t1}", lines[-1]] and lines[-1].startswith("conclude T1 ")
+    p2 = gs.fingerprint(gs.make_P(2))
+    lines[compose] = lines[compose].replace(f" right={t1} ", f" right={p2} ")
+    lines[-2] = f"trace 1 {p2}"
+    bad = write(tmp_path, "bad.cert", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gf, bad]) == 1
+    assert capsys.readouterr().err == ("verification failed: compose right fingerprint "
+                                       "is not that of T(1)\n")
+
+
 # Certificates that ``reduce`` wrote while a K4 split could leave a torus
 # remainder: they weld P(1) to T(k) and rewrite a torus # K4 sum to P(3).
 PT_WELD_CERTS = Path(__file__).with_name("pt_weld_certs")

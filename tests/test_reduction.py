@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import CertificateError, ReductionError, TraceError, fileio, moves
 from gemsurf.catalog import enumerate_contracted
-from gemsurf.core import seam_from_side
+from gemsurf.core import _m0_entry2, _maps_onto, _step, seam_from_side
 from gemsurf.moves import enumerate_cut_specs
 from gemsurf.reduction import (
     CanonicalForm,
     IsoCert,
     TraceCert,
+    _anchors,
     _choose_anchor,
+    _remainder_is_bipartite,
+    _split_P1,
     _weld,
     certificate_conclusion,
     form_L,
@@ -146,6 +149,88 @@ def test_sum_additivity_of_families():
             assert gs.are_isomorphic(p, gs.make_P(i + j)) is not None
             t = _weld(form_T(i), 4 * i + 2, form_T(j), 1)
             assert gs.are_isomorphic(t, gs.make_T(i + j)) is not None
+
+
+# ============================================================
+# the one-walk label of a normal form
+# ============================================================
+
+
+def _m0_prefix(g, root, k):
+    """The first k entries of the m0 row of the walk from ``root``."""
+    lab, order, row0 = [0] * (g.n + 1), [root], []
+    lab[root] = 1
+    while len(row0) < k and _step(g.matchings, lab, order, row0):
+        pass
+    return row0
+
+
+def assert_reflection_is_an_automorphism(form):
+    g = gs.realize(form)
+    assert _maps_onto(g, g, {v: g.n + 1 - v for v in range(1, g.n + 1)})
+
+
+def assert_least_entry2_roots(form):
+    """Only 3 and n-2 reach P(m)'s least m0 entry 2, which is 4; only 2, 3,
+    n-2 and n-1 reach T(m)'s, which is 6."""
+    g = gs.realize(form)
+    n, entry2 = g.n, _m0_entry2(g)
+    low = min(entry2[1:])
+    least = [r for r in range(1, n + 1) if entry2[r] == low]
+    if form.kind == "P":
+        assert low == 4 and least == [3, n - 2]
+    else:
+        assert low == 6 and least == [2, 3, n - 2, n - 1]
+
+
+def assert_root3_beats_root2(form):
+    g = gs.realize(form)
+    assert _m0_prefix(g, 3, 4) == [2, 1, 6, 7] and _m0_prefix(g, 2, 4) == [2, 1, 6, 8]
+
+
+def assert_walk_label(form):
+    assert gs.reduction._form_fingerprint(form) == moves._label(gs.realize(form)), form
+
+
+FORMS_UP_TO_M256 = [CanonicalForm(kind, m) for m in range(2, 257) for kind in "PT"]
+# Beyond m = 256 the slow test strides, which keeps it near 5 s.
+FORMS_UP_TO_N8194 = ([form_P(m) for m in [*range(257, 4096, 32), 4096]]
+                     + [form_T(m) for m in [*range(257, 2048, 16), 2048]])
+
+
+def test_walk_labels_every_form_up_to_m256():
+    for form in [form_L(), form_P(1), form_T(1), *FORMS_UP_TO_M256]:
+        assert_walk_label(form)
+
+
+def test_reflection_is_an_automorphism_of_the_forms():
+    for form in FORMS_UP_TO_M256:
+        assert_reflection_is_an_automorphism(form)
+
+
+def test_least_entry2_roots_of_the_forms():
+    for form in FORMS_UP_TO_M256:
+        assert_least_entry2_roots(form)
+
+
+def test_root3_beats_root2_in_t():
+    for m in range(2, 257):
+        assert_root3_beats_root2(form_T(m))
+
+
+def test_smallest_forms_are_vertex_transitive():
+    for g in (gs.make_L(), gs.make_P1(), gs.make_T1()):
+        assert len({gs.reduction._walk_label(g, r) for r in range(1, g.n + 1)}) == 1
+
+
+@pytest.mark.slow
+def test_walk_labels_and_lemmas_up_to_n8194():
+    for form in FORMS_UP_TO_N8194:
+        assert_walk_label(form)
+        assert_reflection_is_an_automorphism(form)
+        assert_least_entry2_roots(form)
+        if form.kind == "T":
+            assert_root3_beats_root2(form)
 
 
 # ============================================================
@@ -403,14 +488,58 @@ def test_reduce_raises_when_no_split_keeps_the_parity(monkeypatch):
     """Where every K4 split leaves a bipartite remainder, ``reduce`` says so
     rather than end the anchor scan with a bare StopIteration."""
     g = gs.connected_sum(gs.make_T(2), 5, gs.make_P1(), 2)
-    is_bipartite = gs.reduction.is_bipartite
-
-    def every_remainder_bipartite(h):
-        return is_bipartite(h) if h is g else is_bipartite(gs.make_T1())
-
-    monkeypatch.setattr(gs.reduction, "is_bipartite", every_remainder_bipartite)
+    monkeypatch.setattr(gs.reduction, "_remainder_is_bipartite", lambda h, *anchor: True)
     with pytest.raises(ReductionError, match="no K4 split keeps the remainder non-bipartite"):
         gs.reduce(g)
+
+
+def assert_parity_rule_on_every_anchor(g):
+    """At every K4 anchor of the non-bipartite g, the parity read off the
+    anchor is that of the remainder the split builds; returns the count of
+    each outcome."""
+    outcomes = collections.Counter()
+    with moves._open_call_memo():
+        for anchor in _anchors(g, bipartite=False):
+            built = gs.is_bipartite(_split_P1(g, *anchor).remainder) is not None
+            assert _remainder_is_bipartite(g, *anchor) == built, anchor[1:]
+            outcomes[built] += 1
+    return outcomes
+
+
+def assert_parity_rule_on_catalog(n):
+    return sum((assert_parity_rule_on_every_anchor(e.graph)
+                for e in enumerate_contracted(n, bound=14).classes if not e.bipartite),
+               collections.Counter())
+
+
+def test_parity_rule_on_every_anchor_of_the_catalog_up_to_n12():
+    outcomes = collections.Counter()
+    for n in range(6, 13, 2):
+        outcomes += assert_parity_rule_on_catalog(n)
+    assert outcomes[True] > 10 and outcomes[False] > 100, outcomes
+
+
+@pytest.mark.slow
+def test_parity_rule_on_every_anchor_of_the_catalog_at_n14():
+    """Every remainder here has 12 vertices, and no contracted bipartite
+    graph does, so the rule must read each one as non-bipartite."""
+    assert assert_parity_rule_on_catalog(14) == {False: 8568}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(3, 60))
+def test_parity_rule_on_random_non_bipartite_graphs(seed, half):
+    assert_parity_rule_on_every_anchor(random_contracted(random.Random(seed), 2 * half, False))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 12), st.data())
+def test_parity_rule_on_p_and_t_sums(m, k, data):
+    pm, tk = gs.make_P(m), gs.make_T(k)
+    v, w = data.draw(st.integers(1, pm.n)), data.draw(st.integers(1, tk.n))
+    g = gs.connected_sum(pm, v, tk, w) if data.draw(st.booleans()) else \
+        gs.connected_sum(tk, w, pm, v)
+    assert_parity_rule_on_every_anchor(g)
 
 
 @pytest.mark.parametrize("n", range(2, 15, 2))
@@ -546,9 +675,12 @@ def test_reduce_labels_each_graph_once(monkeypatch, g):
 def test_compose_records_label_forms_not_their_isomorphs(monkeypatch):
     """A compose field whose graph is certified by a witness onto F prints
     the fingerprint of F's graph, which the witness proves is the same text,
-    so ``reduce`` labels no summand or welding that only a witness certifies."""
+    so ``reduce`` labels no summand or welding that only a witness certifies.
+    F's graph is labelled by one walk, so no realized form reaches the
+    canonical labelling either."""
     g = gs.connected_sum(gs.make_T(15), 7, gs.make_P(2), 3)
     labelled = _count_labellings(monkeypatch)
+    built, _ = _count_forms(monkeypatch)
     witnessed = []  # (graph, form) for each graph a compose field certifies by a witness
     congruence = gs.reduction._congruence
 
@@ -568,7 +700,10 @@ def test_compose_records_label_forms_not_their_isomorphs(monkeypatch):
     isomorphs = [h.matchings for h, form in witnessed if h != gs.realize(form)]
     assert len(isomorphs) > 10
     assert set(isomorphs).isdisjoint(labelled)
-    assert len(labelled) == len(set(labelled)) == 93
+    assert len(labelled) == len(set(labelled)) == 60
+    assert len(built) > 10
+    # A copy: each realize outside the call appends to ``built``.
+    assert {gs.realize(form).matchings for form in list(built)}.isdisjoint(labelled)
 
 
 @on_four_inputs
@@ -589,9 +724,8 @@ def test_reduce_and_verify_build_no_throwaway_graph(monkeypatch, g):
 
 
 def test_reduce_two_colours_each_remainder_once(monkeypatch):
-    """``reduce`` 2-colours its input, and each remainder of a K4 split once;
-    a bipartite input's remainders are bipartite, so they are not 2-coloured."""
-    g = random_contracted(random.Random(67), 66, False)
+    """``reduce`` 2-colours its input and nothing else: a bipartite input's
+    remainders are bipartite, and a K4 split's parity is read off its anchor."""
     coloured = []
     is_bipartite = gs.core.is_bipartite
 
@@ -600,15 +734,11 @@ def test_reduce_two_colours_each_remainder_once(monkeypatch):
         return is_bipartite(h)
 
     monkeypatch.setattr(gs.reduction, "is_bipartite", counted)
-    gs.reduce(g)
-    counts = collections.Counter(coloured)
-    assert counts.pop(g.matchings) == 1
-    assert len(counts) > 20 and set(counts.values()) == {1}
-
-    coloured.clear()
-    h = random_contracted(random.Random(67), 66, True)
-    gs.reduce(h)
-    assert coloured == [h.matchings]
+    for bipartite in (False, True):
+        coloured.clear()
+        g = random_contracted(random.Random(67), 66, bipartite)
+        gs.reduce(g)
+        assert coloured == [g.matchings]
 
 
 def test_verify_welds_forms_without_two_colouring(monkeypatch):
@@ -752,11 +882,9 @@ def test_reduce_builds_each_step_once(monkeypatch, g):
     """The self-verify of ``reduce`` reads every move, seam split and weld
     back from the step memo, so it builds none; a stand-alone verify keeps
     no step memo and builds each of its steps itself, as often as ``reduce``
-    built it, less the move of each K4 split that ``reduce`` tried and
-    rejected for its bipartite remainder."""
+    built it: a K4 anchor that ``reduce`` rejects builds nothing."""
     built, memo_open, _ = _count_steps(monkeypatch)
     verify, self_verify_builds = gs.reduction.verify_certificate, []
-    split_p1, rejected = gs.reduction._split_P1, collections.Counter()
 
     def measured(h, cert):
         before = sum(map(len, built.values()))
@@ -764,15 +892,7 @@ def test_reduce_builds_each_step_once(monkeypatch, g):
         self_verify_builds.append(sum(map(len, built.values())) - before)
         return form
 
-    def tried(h, *anchor):
-        sp = split_p1(h, *anchor)
-        if gs.is_bipartite(sp.remainder) is not None:
-            (move, _), = sp.trace.steps
-            rejected[h.matchings, move.cut, move.glue] += 1
-        return sp
-
     monkeypatch.setattr(gs.reduction, "verify_certificate", measured)
-    monkeypatch.setattr(gs.reduction, "_split_P1", tried)
     form, cert = gs.reduce(g)
     assert self_verify_builds == [0]
     in_reduce = {name: collections.Counter(keys) for name, keys in built.items()}
@@ -782,10 +902,7 @@ def test_reduce_builds_each_step_once(monkeypatch, g):
         keys.clear()
     memo_open.clear()
     assert gs.verify_certificate(g, cert) == form
-    assert collections.Counter(built["cut_and_glue"]) + rejected == in_reduce["cut_and_glue"]
-    assert collections.Counter(built["connected_sum"]) == in_reduce["connected_sum"]
-    splits = collections.Counter(built["extract_summands"])
-    assert splits and splits <= in_reduce["extract_summands"]
+    assert {name: collections.Counter(keys) for name, keys in built.items()} == in_reduce
     assert memo_open and not any(memo_open)
 
 

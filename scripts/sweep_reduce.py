@@ -3,17 +3,18 @@
 
     PYTHONPATH=src python scripts/sweep_reduce.py [--family random|circ] [N ...]
 
-For each N (default 66 130 258 514 1026) one or two graphs are built.
-With ``--family random`` (the default), one graph per parity allowed at
-N is drawn with ``random.Random(N)`` by the sampler of
-``tests/test_golden.py``.  With ``--family circ``, the one graph is
-``circ(N, 3)`` of the same file, which is contracted only for N = 2 mod 4
-and then reduces to T((N - 2) / 4); its symmetric labelling is the slow
-case of the canonical encoder.  For each graph ``reduce`` and
-``verify_certificate`` are timed once each (``reduce_s``, ``verify_s``),
-then the file path: ``write_certificate`` (``write_s``),
-``parse_certificate`` of its text (``parse_s``) and a stand-alone
-``verify_certificate`` of the parsed certificate (``verify_file_s``).
+For each N (default 66 130 258 514 1026), which must be even and at least
+2, one or two graphs are built.  With ``--family random`` (the default),
+one graph per parity allowed at N (only the bipartite L at N = 2) is
+drawn with ``random.Random(N)`` by the sampler of ``tests/test_golden.py``.
+With ``--family circ``, the one graph is ``circ(N, 3)`` of the same file,
+which is contracted only for N = 2 mod 4 and then reduces to
+T((N - 2) / 4); its symmetric labelling is the slow case of the canonical
+encoder.  For each graph ``reduce`` and ``verify_certificate`` are timed
+once each (``reduce_s``, ``verify_s``), then the file path:
+``write_certificate`` (``write_s``), ``parse_certificate`` of its text
+(``parse_s``) and a stand-alone ``verify_certificate`` of the parsed
+certificate (``verify_file_s``).
 One JSON object per graph is printed, then, when at least two distinct
 sizes were run, the least-squares slope of log(reduce + verify seconds)
 against log(N) over all graphs (``fitted_exponent`` of
@@ -46,7 +47,7 @@ def family_graphs(family: str, n: int):
             sys.exit(f"error: circ({n}, 3) is not contracted; it is for n = 2 mod 4")
         yield True, g
         return
-    for bipartite in (True, False) if n % 4 == 2 else (False,):
+    for bipartite in (True,) if n == 2 else (True, False) if n % 4 == 2 else (False,):
         yield bipartite, random_contracted(random.Random(n), n, bipartite)
 
 
@@ -55,6 +56,9 @@ def main(argv: list[str]) -> None:
     parser.add_argument("--family", choices=("random", "circ"), default="random")
     parser.add_argument("sizes", nargs="*", type=int, default=[66, 130, 258, 514, 1026])
     args = parser.parse_args(argv)
+    bad = [n for n in args.sizes if n < 2 or n % 2]
+    if bad:  # no contracted graph has an odd number of vertices, or fewer than 2
+        parser.error(f"no contracted graph on N = {bad[0]} vertices; N must be even and >= 2")
     points = []
     for n in args.sizes:
         for bipartite, g in family_graphs(args.family, n):

@@ -244,33 +244,15 @@ def _reach(g: ColoredGraph, start: int, seen: list[bool], blocked) -> list[int]:
 def _components(g: ColoredGraph) -> list:
     """The vertex lists of g's components, each ascending, by least vertex.
 
-    A component is a union of {0,1}-cycles joined by colour-2 edges, so it
-    is found by cycle walks, one per {0,1}-cycle.
+    One walk of the {0,1}-cycle through vertex 1 settles a graph whose
+    {0,1}-cycle is Hamiltonian, as in every contracted graph.  Otherwise
+    each component is the ``_reach`` walk, blocking no edge, from the least
+    vertex no earlier walk reached.
     """
-    m0, m1, m2 = g.matchings
-    comp = [0] * (g.n + 1)
-    count = 0
-    for v in range(1, g.n + 1):
-        if comp[v]:
-            continue
-        count += 1
-        members = _cycle(m0, m1, v)
-        if len(members) == g.n:  # a Hamiltonian {0,1}-cycle, as in every contracted graph
-            return [range(1, g.n + 1)]
-        for u in members:
-            comp[u] = count
-        for u in members:  # grows as cycles join
-            if not comp[m2[u]]:
-                cyc = _cycle(m0, m1, m2[u])
-                for w in cyc:
-                    comp[w] = count
-                members += cyc
-    if count == 1:
+    if len(_cycle(g.matchings[0], g.matchings[1], 1)) == g.n:
         return [range(1, g.n + 1)]
-    comps = [[] for _ in range(count)]
-    for v in range(1, g.n + 1):
-        comps[comp[v] - 1].append(v)
-    return comps
+    seen = [False] * (g.n + 1)
+    return [sorted(_reach(g, v, seen, ((), (), ()))) for v in range(1, g.n + 1) if not seen[v]]
 
 
 def connected_components(g: ColoredGraph) -> list[frozenset[int]]:

@@ -300,7 +300,8 @@ class RecombineCert:
     graph is connected_sum(realize(f_A), weld_a, realize(f_B), weld_b) and
     ``rest`` certifies it.  Changing weld vertices is absorbed by
     interchange moves, so the record is sound without replaying sub-traces
-    inside the composite graph.
+    inside the composite graph.  ``reduce``'s records weld F(1) and F(k) at
+    f_A's highest vertex and 1, and ``rest`` is the identity onto F(k+1).
 
     ``left_fp``, ``right_fp`` and ``fp`` are the fingerprints of the two
     summands and of the successor graph, as the compose record prints them.
@@ -666,40 +667,6 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
     return form, cert
 
 
-def _fingerprint_of(g: ColoredGraph, node: Cert) -> str:
-    """fingerprint(g) for the graph that ``node`` certifies.  A trace already
-    holds it, and a witness onto F, which the self-verify checks, makes it
-    the fingerprint of F's graph, so each form is labelled once per call,
-    by one walk, instead of each isomorph."""
-    if isinstance(node, TraceCert):
-        return node.trace.initial
-    if isinstance(node, IsoCert):
-        return _form_fingerprint(node.form)
-    return fingerprint(g)
-
-
-def _congruence(seam: Seam, x: ColoredGraph, x_cert: Cert, y: ColoredGraph, y_cert: Cert,
-                x_is_a: bool):
-    """Open the compose record for the summands x and y of ``seam``.
-
-    Returns the canonical welding of both conclusions and a function that
-    closes the record once ``rest`` certifies that welding.  The first
-    form's highest vertex, which is even, meets the second's vertex 1,
-    which is odd, so ``_weld``'s type rule holds.
-    """
-    g_a, left, g_b, right = (x, x_cert, y, y_cert) if x_is_a else (y, y_cert, x, x_cert)
-    f_a, f_b = certificate_conclusion(left), certificate_conclusion(right)
-    weld_a = f_a.vertex_count
-    joined = _weld(f_a, weld_a, f_b, 1)
-    edges = seam.edges  # not the seam, which keeps the graph it cut alive
-
-    def close(rest: Cert) -> RecombineCert:
-        return RecombineCert(edges, left, right, weld_a, 1, rest,
-                             _fingerprint_of(g_a, left), _fingerprint_of(g_b, right),
-                             _fingerprint_of(joined, rest))
-    return joined, close
-
-
 def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     """Split off torus or K4 blocks down to n <= 6, then fold the splits back up.
 
@@ -707,18 +674,27 @@ def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     keeps that parity: a summand of a bipartite graph is bipartite, since
     the three seam edges leave one side from vertices of one colour, and a
     K4 split is taken only where its remainder is not.  So each fold-up
-    welds P(1) to P(k) or T(1) to T(k).
+    welds the block F(1) and the remainder's F(k), side A's highest vertex
+    (even) to side B's vertex 1 (odd) as ``_weld``'s type rule asks, into
+    realize(F(k+1)) itself.  A compose field prints a trace's initial
+    fingerprint, or F's where a witness onto F certifies the summand, so
+    each form is labelled once per call, by one walk, and no isomorph is.
     """
     splits = []
     while g.n > 6:
         splits.append(_split_T1(g, *_choose_anchor(g, True)) if bipartite else _keeping_split(g))
         g = splits[-1].remainder
-    node = _iso_cert(g, canonical_of(g.n, bipartite))
+    form = canonical_of(g.n, bipartite)
+    node, fp = _iso_cert(g, form), _form_fingerprint(form)
     for sp in reversed(splits):
-        rem = certificate_conclusion(node)
-        joined, close = _congruence(sp.seam, sp.piece, sp.piece_cert,
-                                    sp.remainder, node, sp.piece_is_side_a)
-        node = TraceCert(sp.trace, close(_iso_cert(joined, CanonicalForm(rem.kind, rem.m + 1))))
+        block = sp.piece_cert.form
+        sides = [(sp.piece_cert, block, _form_fingerprint(block)), (node, form, fp)]
+        (left, f_a, left_fp), (right, f_b, right_fp) = sides[::1 if sp.piece_is_side_a else -1]
+        form = CanonicalForm(form.kind, form.m + 1)
+        rest = _iso_cert(_weld(f_a, f_a.vertex_count, f_b, 1), form)
+        node = TraceCert(sp.trace, RecombineCert(sp.seam.edges, left, right, f_a.vertex_count, 1,
+                                                 rest, left_fp, right_fp, _form_fingerprint(form)))
+        fp = sp.trace.initial
     return node
 
 

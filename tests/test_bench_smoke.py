@@ -37,11 +37,15 @@ def test_workload_with_traced_round(workload, tmp_path):
     assert result["failed"] == 0
 
 
-def test_sweep_reduce_at_one_size():
-    proc = subprocess.run(
-        [sys.executable, "scripts/sweep_reduce.py", "66"], cwd=ROOT,
+def _sweep(*args, timeout):
+    return subprocess.run(
+        [sys.executable, "scripts/sweep_reduce.py", *args], cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=timeout)
+
+
+def test_sweep_reduce_at_one_size():
+    proc = _sweep("66", timeout=300)
     assert proc.returncode == 0, proc.stderr
     points = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [(p["n"], p["bipartite"]) for p in points] == [(66, True), (66, False)]
@@ -49,3 +53,20 @@ def test_sweep_reduce_at_one_size():
         assert p["form"] == str(gs.canonical_of(p["n"], p["bipartite"]))
         assert all(p[key] >= 0 for key in ("reduce_s", "verify_s", "write_s", "parse_s",
                                            "verify_file_s"))
+
+
+@pytest.mark.parametrize("args", [("7",), ("0",), ("--family", "circ", "7")])
+def test_sweep_reduce_refuses_a_size_without_graphs(args):
+    """No contracted graph has an odd vertex count or fewer than 2 vertices."""
+    proc = _sweep(*args, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_sweep_reduce_at_two_draws_only_l():
+    """The one contracted graph on 2 vertices is the bipartite L."""
+    proc = _sweep("2", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    points = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(p["n"], p["bipartite"], p["form"]) for p in points] == [(2, True, "L")]

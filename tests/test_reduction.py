@@ -149,6 +149,14 @@ def test_sum_additivity_of_families():
             assert gs.are_isomorphic(p, gs.make_P(i + j)) is not None
             t = _weld(form_T(i), 4 * i + 2, form_T(j), 1)
             assert gs.are_isomorphic(t, gs.make_T(i + j)) is not None
+    # Each fold-up step of ``reduce`` welds F(1) and F(k) in one order or the
+    # other, and its identity witness onto F(k+1) rests on this identity.
+    for kind in "PT":
+        one = CanonicalForm(kind, 1)
+        for k in range(1, 65):
+            f_k, f_next = CanonicalForm(kind, k), gs.realize(CanonicalForm(kind, k + 1))
+            assert _weld(one, one.vertex_count, f_k, 1) == f_next
+            assert _weld(f_k, f_k.vertex_count, one, 1) == f_next
 
 
 # ============================================================
@@ -682,20 +690,13 @@ def test_compose_records_label_forms_not_their_isomorphs(monkeypatch):
     labelled = _count_labellings(monkeypatch)
     built, _ = _count_forms(monkeypatch)
     witnessed = []  # (graph, form) for each graph a compose field certifies by a witness
-    congruence = gs.reduction._congruence
+    iso_cert = gs.reduction._iso_cert
 
-    def recorded(seam, x, x_cert, y, y_cert, x_is_a):
-        joined, close = congruence(seam, x, x_cert, y, y_cert, x_is_a)
-        witnessed.extend((h, c.form) for h, c in ((x, x_cert), (y, y_cert))
-                         if isinstance(c, IsoCert))
+    def recorded(h, form):
+        witnessed.append((h, form))
+        return iso_cert(h, form)
 
-        def recorded_close(rest):
-            if isinstance(rest, IsoCert):
-                witnessed.append((joined, rest.form))
-            return close(rest)
-        return joined, recorded_close
-
-    monkeypatch.setattr(gs.reduction, "_congruence", recorded)
+    monkeypatch.setattr(gs.reduction, "_iso_cert", recorded)
     gs.reduce(g)
     isomorphs = [h.matchings for h, form in witnessed if h != gs.realize(form)]
     assert len(isomorphs) > 10
@@ -963,25 +964,19 @@ def _other_move(args, sp):
     return dataclasses.replace(sp, trace=gs.MoveTrace(sp.trace.initial, bad))
 
 
-def _other_weld(args, out):
-    joined, close = out
-
-    def bad_close(rest):
-        rec = close(rest)
-        return dataclasses.replace(rec, weld_b=3 if rec.weld_b == 1 else rec.weld_b - 2)
-    return joined, bad_close
+def _other_weld(args, root):
+    """The outermost compose record names other weld vertices."""
+    rec = root.rest
+    bad = dataclasses.replace(rec, weld_b=3 if rec.weld_b == 1 else rec.weld_b - 2)
+    return dataclasses.replace(root, rest=bad)
 
 
-def _other_seam(args, out):
-    """The record names its seam's edge triple rotated, a triple the split
-    did not derive, so the step memo holds nothing under it."""
-    joined, close = out
-
-    def bad_close(rest):
-        rec = close(rest)
-        e0, e1, e2 = rec.seam_edges
-        return dataclasses.replace(rec, seam_edges=(e1, e2, e0))
-    return joined, bad_close
+def _other_seam(args, root):
+    """The outermost compose record names its seam's edge triple rotated, a
+    triple the split did not derive, so the step memo holds nothing under it."""
+    rec = root.rest
+    e0, e1, e2 = rec.seam_edges
+    return dataclasses.replace(root, rest=dataclasses.replace(rec, seam_edges=(e1, e2, e0)))
 
 
 def _swapped_images(args, cert):
@@ -997,8 +992,8 @@ _FAULT_INPUTS = {
 _FAULTS = {
     "stale-fingerprint": ("_detach", _stale_fingerprint),
     "other-arc": ("_detach", _other_move),
-    "other-weld": ("_congruence", _other_weld),
-    "other-seam": ("_congruence", _other_seam),
+    "other-weld": ("_reduce_node", _other_weld),
+    "other-seam": ("_reduce_node", _other_seam),
     "swapped-witness": ("_iso_cert", _swapped_images),
 }
 

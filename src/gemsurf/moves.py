@@ -268,58 +268,40 @@ def _fingerprint_text(n: int, rows) -> str:
 
 
 # The memo of one ``reduction.reduce`` or ``verify_certificate`` call, and
-# None outside them: fingerprints keyed by ``g.matchings`` and realized
-# forms keyed by their ``CanonicalForm``.  Such a key fixes its value, so a
-# hit is the answer a second computation would give.  A ContextVar keeps
-# each thread's and context's memo apart.
+# None outside them: fingerprints keyed by ``g.matchings``, realized forms
+# keyed by their ``CanonicalForm``, and the graph of each move and seam
+# split keyed by the identities of its inputs.  Such a key fixes its value,
+# so a hit is the answer a second computation would give.  A ContextVar
+# keeps each thread's and context's memo apart.
 _call_memo: ContextVar[dict | None] = ContextVar("gemsurf_call_memo", default=None)
-
-# The step results of a call memo that ``reduce`` opened, and None
-# otherwise: the graph of each move, seam split and weld, for its
-# self-verify to read back.  A stand-alone verify would never read one.
-_step_memo: ContextVar[dict | None] = ContextVar("gemsurf_step_memo", default=None)
 
 
 @contextmanager
-def _open_call_memo(keep_steps: bool = False):
+def _open_call_memo():
     """Open a call memo for the ``with`` body, or reuse the one already open.
 
-    A memo this opens keeps step results if ``keep_steps``, and is closed
-    when the body returns or raises."""
+    A memo this opens is closed when the body returns or raises."""
     if _call_memo.get() is not None:
         yield
         return
     token = _call_memo.set({})
-    steps = _step_memo.set({} if keep_steps else None)
     try:
         yield
     finally:
-        _step_memo.reset(steps)
         _call_memo.reset(token)
 
 
 def _memoized(key, build, *args):
-    """``build(*args)``, read from or kept in the open call memo under ``key``."""
+    """``build(*args)``, read from or kept in the open call memo under ``key``.
+
+    ``key`` may hold the ids of objects in ``args``: the entry keeps
+    ``args`` alive, so no id in a key is reused while the memo lives."""
     memo = _call_memo.get()
     if memo is None:
         return build(*args)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = build(*args)
-    return value
-
-
-def _kept_step(key, pins, build, *args):
-    """``build(*args)``, read from or kept in the open step memo under ``key``.
-
-    ``key`` may hold the ids of the objects in ``pins``: the entry keeps
-    them alive, so no id in a key is reused while the memo lives."""
-    steps = _step_memo.get()
-    if steps is None:
-        return build(*args)
-    entry = steps.get(key)
+    entry = memo.get(key)
     if entry is None:
-        entry = steps[key] = (build(*args), pins)
+        entry = memo[key] = (build(*args), args)
     return entry[0]
 
 
@@ -338,9 +320,9 @@ def fingerprint(g: ColoredGraph) -> str:
 
 
 def apply_move(g: ColoredGraph, move: Move) -> ColoredGraph:
-    """The graph ``move`` takes g to; inside ``reduce`` it is kept in the
-    step memo under the identities of g and ``move``."""
-    return _kept_step((id(g), id(move)), (g, move), _apply, g, move)
+    """The graph ``move`` takes g to, kept in the open call memo under the
+    identities of g and ``move``."""
+    return _memoized((id(g), id(move)), _apply, g, move)
 
 
 def _apply(g: ColoredGraph, move: Move) -> ColoredGraph:

@@ -37,7 +37,6 @@ from .moves import (
     GlueSpec,
     MoveTrace,
     _fingerprint_text,
-    _kept_step,
     _memoized,
     _open_call_memo,
     apply_move,
@@ -243,10 +242,9 @@ def _weld(f_a: CanonicalForm, a: int, f_b: CanonicalForm, b: int) -> ColoredGrap
     a and b must differ in type.  A bipartite normal form is 2-coloured by
     vertex parity, odd vertices black: L has vertices 1 and 2, and by the
     formulas of ``make_T`` every edge of T(m) joins an odd and an even
-    vertex.  P(m) holds the triangle 1-2-3, so it is not bipartite.  Inside
-    ``reduce`` the joined graph is kept in the step memo under the four
-    values."""
-    joined = _kept_step((f_a, a, f_b, b), (), connected_sum, realize(f_a), a, realize(f_b), b)
+    vertex.  P(m) holds the triangle 1-2-3, so it is not bipartite.  Only a
+    verify welds, once per compose record."""
+    joined = connected_sum(realize(f_a), a, realize(f_b), b)
     if "P" not in (f_a.kind, f_b.kind) and a % 2 == b % 2:
         raise GemError(f"type rule violated: vertices {a} and {b} are both "
                        f"{'black' if a % 2 else 'white'}")
@@ -364,10 +362,10 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     edge, every compose seam re-derived from its edge triple before its
     summands are built, and every recombined graph rebuilt by ``_weld``
     under the type rule.  A compose field whose summand a witness onto F
-    certifies must be F's fingerprint.  Fingerprints and forms go through a
-    call memo, ``reduce``'s when it verifies its own certificate; there each
-    move, weld, and seam split with its summands reads back what ``reduce``
-    derived on the same graph and triple.
+    certifies must be F's fingerprint.  Fingerprints, forms, moves and seam
+    splits go through a call memo, ``reduce``'s when it verifies its own
+    certificate; there each move, and each seam split with its summands,
+    reads back what ``reduce`` derived on the same graph and triple.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
@@ -388,7 +386,7 @@ def _verify_node(g: ColoredGraph, node: Cert):
                 raise CertificateError(f"leaf trace failed: {exc}") from exc
         elif isinstance(node, RecombineCert):
             triple = node.seam_edges
-            g1, _, g2, _ = _kept_step((id(g), triple), (g,), _split, g, triple)
+            g1, _, g2, _ = _memoized((id(g), triple), _split, g, triple)
             f_a = yield _verify_node(g1, node.left)
             f_b = yield _verify_node(g2, node.right)
             # No trace checks the field of a summand that a witness onto F certifies.
@@ -412,12 +410,8 @@ def _verify_node(g: ColoredGraph, node: Cert):
 
 
 def _iso_cert(g: ColoredGraph, form: CanonicalForm) -> IsoCert:
-    """The witness that g is the canonical graph of ``form``: the identity
-    when g is that graph itself, which is what the search would return."""
-    h = realize(form)
-    if g == h:
-        return IsoCert(form, tuple(zip(range(1, g.n + 1), range(1, g.n + 1))))
-    mapping = are_isomorphic(g, h)
+    """The witness that g is the canonical graph of ``form``, found by search."""
+    mapping = are_isomorphic(g, realize(form))
     if mapping is None:
         raise ReductionError(
             f"internal: graph on {g.n} vertices failed to match {form}; "
@@ -512,12 +506,12 @@ def _summands_at(g: ColoredGraph, side: frozenset[int]):
 
     Returns (seam, side's summand, the other summand, whether ``side`` is
     side A).  A summand numbers its side's vertices in their order in g,
-    then the apex.  Inside ``reduce`` the summands are kept in the step
-    memo under the identity of g and the seam's edge triple, which fix the
-    seam, so the self-verify reads them back without deriving it again.
+    then the apex.  The summands are kept in the open call memo under the
+    identity of g and the seam's edge triple, which fix the seam, so
+    ``reduce``'s self-verify reads them back without deriving it again.
     """
     seam = seam_from_side(g, side)
-    s_a, _, s_b, _ = _kept_step((id(g), seam.edges), (g,), extract_summands, g, seam)
+    s_a, _, s_b, _ = _memoized((id(g), seam.edges), extract_summands, g, seam)
     if seam.side_a == side:
         return seam, s_a, s_b, True
     return seam, s_b, s_a, False
@@ -653,10 +647,10 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
     if not is_contracted(g):
         raise ReductionError("reduction requires a contracted graph")
     bipartite = is_bipartite(g) is not None
-    # One call memo: each graph is labelled and each form realized once,
-    # and each move, seam split and weld built once; the self-verify below
-    # replays every step and reads its graph back from the same memo.
-    with _open_call_memo(keep_steps=True):
+    # One call memo: each graph is labelled, each form realized and each
+    # move and seam split built once; the self-verify below replays every
+    # step, reads its graph back from the same memo, and builds each weld.
+    with _open_call_memo():
         root = _reduce_node(g, bipartite)
         form = certificate_conclusion(root)
         expected = canonical_of(g.n, bipartite)
@@ -676,7 +670,9 @@ def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     K4 split is taken only where its remainder is not.  So each fold-up
     welds the block F(1) and the remainder's F(k), side A's highest vertex
     (even) to side B's vertex 1 (odd) as ``_weld``'s type rule asks, into
-    realize(F(k+1)) itself.  A compose field prints a trace's initial
+    realize(F(k+1)) itself, so its ``rest`` is the identity onto F(k+1)
+    and no weld is built here: the self-verify builds each one and checks
+    the identity edge by edge.  A compose field prints a trace's initial
     fingerprint, or F's where a witness onto F certifies the summand, so
     each form is labelled once per call, by one walk, and no isomorph is.
     """
@@ -691,7 +687,8 @@ def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
         sides = [(sp.piece_cert, block, _form_fingerprint(block)), (node, form, fp)]
         (left, f_a, left_fp), (right, f_b, right_fp) = sides[::1 if sp.piece_is_side_a else -1]
         form = CanonicalForm(form.kind, form.m + 1)
-        rest = _iso_cert(_weld(f_a, f_a.vertex_count, f_b, 1), form)
+        ids = range(1, form.vertex_count + 1)
+        rest = IsoCert(form, tuple(zip(ids, ids)))
         node = TraceCert(sp.trace, RecombineCert(sp.seam.edges, left, right, f_a.vertex_count, 1,
                                                  rest, left_fp, right_fp, _form_fingerprint(form)))
         fp = sp.trace.initial

@@ -150,10 +150,11 @@ def test_sum_additivity_of_families():
             t = _weld(form_T(i), 4 * i + 2, form_T(j), 1)
             assert gs.are_isomorphic(t, gs.make_T(i + j)) is not None
     # Each fold-up step of ``reduce`` welds F(1) and F(k) in one order or the
-    # other, and its identity witness onto F(k+1) rests on this identity.
+    # other and writes the identity witness onto F(k+1) without building the
+    # weld; its self-verify builds the weld and relies on this identity.
     for kind in "PT":
         one = CanonicalForm(kind, 1)
-        for k in range(1, 65):
+        for k in range(1, 257):
             f_k, f_next = CanonicalForm(kind, k), gs.realize(CanonicalForm(kind, k + 1))
             assert _weld(one, one.vertex_count, f_k, 1) == f_next
             assert _weld(f_k, f_k.vertex_count, one, 1) == f_next
@@ -856,7 +857,7 @@ def test_realize_in_one_memo_equals_the_builders(requests):
 
 def _count_steps(monkeypatch):
     """Record a key for every cut-and-glue, seam split and weld built, the
-    step memo open at the time, and a weakref to each graph built."""
+    call memo open at the time, and a weakref to each graph built."""
     built = {"cut_and_glue": [], "extract_summands": [], "connected_sum": []}
     memo_open, refs = [], []
 
@@ -866,7 +867,7 @@ def _count_steps(monkeypatch):
         def counted(*args):
             out = build(*args)
             built[name].append(key(*args))
-            memo_open.append(moves._step_memo.get() is not None)
+            memo_open.append(moves._call_memo.get() is not None)
             refs.extend(weakref.ref(h) for h in (out if isinstance(out, tuple) else (out,))
                         if isinstance(h, gs.ColoredGraph))
             return out
@@ -880,31 +881,38 @@ def _count_steps(monkeypatch):
 
 @on_four_inputs
 def test_reduce_builds_each_step_once(monkeypatch, g):
-    """The self-verify of ``reduce`` reads every move, seam split and weld
-    back from the step memo, so it builds none; a stand-alone verify keeps
-    no step memo and builds each of its steps itself, as often as ``reduce``
-    built it: a K4 anchor that ``reduce`` rejects builds nothing."""
+    """``reduce`` builds its cut-and-glues and seam splits but no weld; its
+    self-verify reads every move and seam split back from the call memo and
+    builds one weld per compose record.  A stand-alone verify, in its own
+    call memo, builds each of these steps as often as ``reduce`` did in all:
+    a K4 anchor that ``reduce`` rejects builds nothing."""
     built, memo_open, _ = _count_steps(monkeypatch)
-    verify, self_verify_builds = gs.reduction.verify_certificate, []
+    verify, self_verify_built = gs.reduction.verify_certificate, {}
 
     def measured(h, cert):
-        before = sum(map(len, built.values()))
+        before = {name: len(keys) for name, keys in built.items()}
         form = verify(h, cert)
-        self_verify_builds.append(sum(map(len, built.values())) - before)
+        self_verify_built.update({name: collections.Counter(keys[before[name]:])
+                                  for name, keys in built.items()})
         return form
 
     monkeypatch.setattr(gs.reduction, "verify_certificate", measured)
     form, cert = gs.reduce(g)
-    assert self_verify_builds == [0]
-    in_reduce = {name: collections.Counter(keys) for name, keys in built.items()}
-    assert all(in_reduce.values()) and all(memo_open)
+    in_all = {name: collections.Counter(keys) for name, keys in built.items()}
+    in_reduce = {name: in_all[name] - self_verify_built[name] for name in built}
+    assert in_reduce["cut_and_glue"] and in_reduce["extract_summands"]
+    assert not in_reduce["connected_sum"]
+    _, composes = _records(cert)
+    welds = self_verify_built.pop("connected_sum")
+    assert composes and welds.total() == len(composes)
+    assert not any(self_verify_built.values()) and all(memo_open)
 
     for keys in built.values():
         keys.clear()
     memo_open.clear()
     assert gs.verify_certificate(g, cert) == form
-    assert {name: collections.Counter(keys) for name, keys in built.items()} == in_reduce
-    assert memo_open and not any(memo_open)
+    assert {name: collections.Counter(keys) for name, keys in built.items()} == in_all
+    assert memo_open and all(memo_open)
 
 
 def test_no_form_outlives_its_call(monkeypatch):
@@ -973,7 +981,7 @@ def _other_weld(args, root):
 
 def _other_seam(args, root):
     """The outermost compose record names its seam's edge triple rotated, a
-    triple the split did not derive, so the step memo holds nothing under it."""
+    triple the split did not derive, so the call memo holds nothing under it."""
     rec = root.rest
     e0, e1, e2 = rec.seam_edges
     return dataclasses.replace(root, rest=dataclasses.replace(rec, seam_edges=(e1, e2, e0)))
@@ -1005,10 +1013,10 @@ _FAULTS = {
     if (f, i) != ("other-arc", "T6+P3")])
 def test_self_verify_catches_a_bookkeeping_fault(monkeypatch, name, fault, g):
     """One wrong record in ``reduce``'s own certificate fails its self-verify,
-    though every step's graph sits in the step memo: a fingerprint of the
-    graph before the move, the same cut with z1 on its other arc, other
-    weld vertices, a seam triple other than the one split, a witness with
-    two images swapped."""
+    though the graph of every move and seam split sits in the call memo: a
+    fingerprint of the graph before the move, the same cut with z1 on its
+    other arc, other weld vertices, a seam triple other than the one split,
+    a witness with two images swapped."""
     step = getattr(gs.reduction, name)
     faulted = []
 

@@ -664,17 +664,18 @@ def reduce(g: ColoredGraph) -> tuple[CanonicalForm, ReductionCertificate]:
 def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     """Split off torus or K4 blocks down to n <= 6, then fold the splits back up.
 
-    g is ``bipartite`` or not, as the caller found, and every remainder
-    keeps that parity: a summand of a bipartite graph is bipartite, since
-    the three seam edges leave one side from vertices of one colour, and a
-    K4 split is taken only where its remainder is not.  So each fold-up
-    welds the block F(1) and the remainder's F(k), side A's highest vertex
-    (even) to side B's vertex 1 (odd) as ``_weld``'s type rule asks, into
-    realize(F(k+1)) itself, so its ``rest`` is the identity onto F(k+1)
-    and no weld is built here: the self-verify builds each one and checks
-    the identity edge by edge.  A compose field prints a trace's initial
-    fingerprint, or F's where a witness onto F certifies the summand, so
-    each form is labelled once per call, by one walk, and no isomorph is.
+    g is ``bipartite`` or not, as the caller found, and every remainder keeps
+    that parity: a summand of a bipartite graph is bipartite, since the three
+    seam edges leave one side from vertices of one colour, and a K4 split is
+    taken only where its remainder is not.  So each fold-up welds the block
+    F(1) and the remainder's F(k), side A's highest vertex (even) to side B's
+    vertex 1 (odd) as ``_weld``'s type rule asks, into realize(F(k+1))
+    itself, so ``rest`` is the identity: the rows of ``make_P`` and
+    ``make_T`` repeat with period 2 and 4 between their corners at 1 and n,
+    the weld shifts side B by |A| - 2, a multiple of it, and the joint reads
+    as at k = 1.  A compose field prints a trace's initial fingerprint, or
+    F's where a witness onto F certifies the summand, so each form is
+    labelled once per call, by one walk, and no isomorph is.
     """
     splits = []
     while g.n > 6:

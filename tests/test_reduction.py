@@ -153,11 +153,15 @@ def test_sum_additivity_of_families():
     # other and writes the identity witness onto F(k+1) without building the
     # weld; its self-verify builds the weld and relies on this identity.
     for kind in "PT":
-        one = CanonicalForm(kind, 1)
         for k in range(1, 257):
-            f_k, f_next = CanonicalForm(kind, k), gs.realize(CanonicalForm(kind, k + 1))
-            assert _weld(one, one.vertex_count, f_k, 1) == f_next
-            assert _weld(f_k, f_k.vertex_count, one, 1) == f_next
+            assert_weld_identity(CanonicalForm(kind, k + 1))
+
+
+def assert_weld_identity(form):
+    """F(1) and F(m-1) weld into realize(F(m)) itself, in both orders."""
+    one, rest = CanonicalForm(form.kind, 1), CanonicalForm(form.kind, form.m - 1)
+    assert _weld(one, one.vertex_count, rest, 1) == gs.realize(form), form
+    assert _weld(rest, rest.vertex_count, one, 1) == gs.realize(form), form
 
 
 # ============================================================
@@ -202,7 +206,7 @@ def assert_walk_label(form):
 
 
 FORMS_UP_TO_M256 = [CanonicalForm(kind, m) for m in range(2, 257) for kind in "PT"]
-# Beyond m = 256 the slow test strides, which keeps it near 5 s.
+# Beyond m = 256 the slow test strides, which keeps it near 5-6 s.
 FORMS_UP_TO_N8194 = ([form_P(m) for m in [*range(257, 4096, 32), 4096]]
                      + [form_T(m) for m in [*range(257, 2048, 16), 2048]])
 
@@ -240,6 +244,7 @@ def test_walk_labels_and_lemmas_up_to_n8194():
         assert_least_entry2_roots(form)
         if form.kind == "T":
             assert_root3_beats_root2(form)
+        assert_weld_identity(form)
 
 
 # ============================================================

@@ -321,27 +321,31 @@ def is_bipartite(g: ColoredGraph) -> Bipartition | None:
 # the m1 and m2 rows.
 
 
-def _step(m, lab, order, row0) -> bool:
-    """Take the walk's next step; False if it has ended."""
-    i = len(row0)
-    if i == len(order):
-        return False
-    u = order[i]
-    v = m[0][u]
-    x = lab[v]
-    if not x:
-        x = lab[v] = len(order) + 1
-        order.append(v)
-    row0.append(x)
-    v = m[1][u]
-    if not lab[v]:
-        lab[v] = len(order) + 1
-        order.append(v)
-    v = m[2][u]
-    if not lab[v]:
-        lab[v] = len(order) + 1
-        order.append(v)
-    return True
+def _walk(m, lab, order, row0, stop=None) -> bool:
+    """Step the walk until its m0 row has ``stop`` entries; False if it ends first."""
+    m0, m1, m2 = m
+    i, k = len(row0), len(order)
+    while i < k and i != stop:
+        u = order[i]
+        i += 1
+        v = m0[u]
+        x = lab[v]
+        if not x:
+            k += 1
+            x = lab[v] = k
+            order.append(v)
+        row0.append(x)
+        v = m1[u]
+        if not lab[v]:
+            k += 1
+            lab[v] = k
+            order.append(v)
+        v = m2[u]
+        if not lab[v]:
+            k += 1
+            lab[v] = k
+            order.append(v)
+    return i == stop
 
 
 def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int], int]:
@@ -355,7 +359,7 @@ def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int]
     agree in full (i is then the size).  A walk that ends first is below;
     one that runs past the other's end is above.  A race that stops at
     entry i has taken root's steps before i and labelled order[i]'s
-    colour-0 neighbour, so ``_step`` resumes root's walk with row
+    colour-0 neighbour, so ``_walk`` resumes root's walk with row
     ``row0_b[:i]``.
     """
     m0, m1, m2 = m
@@ -365,7 +369,7 @@ def _race(m, lab, root: int, mb, order_b, lab_b, row0_b) -> tuple[int, list[int]
     for i, u in enumerate(order):
         if i < known:
             y = row0_b[i]
-        elif _step(mb, lab_b, order_b, row0_b):
+        elif _walk(mb, lab_b, order_b, row0_b, i + 1):
             y = row0_b[i]
             known += 1
         else:
@@ -414,36 +418,63 @@ def _join(parent: list[int], order_a, order_b) -> None:
             parent[a] = b
 
 
-def _m0_entry2(g: ColoredGraph) -> list[int] | None:
-    """Entry 2 of every root's m0 row, read off the root's neighbourhood
-    without a walk, indexed by root; None if g has a parallel edge.
+def _least_roots(m, comp):
+    """The roots of the ascending component ``comp`` whose m0 entries 2 and
+    3, read off each root's neighbourhood, are least; all of comp if it has
+    a parallel edge.  Entry 3 is read only where entry 2 ties the least.
 
-    Entries 0 and 1 are 2 and 1 from every root, so entry 2 is the first
-    that can tell roots apart.  In a simple graph the walk from r labels
-    r, a = m0[r], b = m1[r] and c = m2[r] as 1..4, then d = m1[a], which is
-    c or new, and e = m2[a], which is b or new; entry 2 is the label of
-    f = m0[b], which is c, d, e or a new vertex.
+    Entries 0 and 1 are 2 and 1 from every root.  In a simple graph the walk
+    from r labels r, a = m0[r], b = m1[r] and c = m2[r] as 1..4, then
+    d = m1[a], which is c or new, and e = m2[a], which is b or new.  Entry 2
+    is the label of f = m0[b]: c, d, e or new.  The walk then labels
+    h = m2[b], which is a exactly when e is b, else d or new (m2[e] = a), and
+    entry 3 is the label of p = m0[c].  As m0 pairs r with a and b with f, p
+    is b exactly when f = c, and otherwise d, e, h or new, never a new f.
     """
-    m0, m1, m2 = g.matchings
-    entry2 = [0] * (g.n + 1)
-    for r in range(1, g.n + 1):
+    m0, m1, m2 = m
+    low, least = 8, []  # entry 2 is at most 7
+    for r in comp:
         a, b, c = m0[r], m1[r], m2[r]
         if a == b or a == c or b == c:
-            return None
-        d, e, f = m1[a], m2[a], m0[b]
+            return comp
+        f = m0[b]
         if f == c:
-            entry2[r] = 4
+            x = 4
+        elif low == 4:  # 4 is the least an entry 2 can be
             continue
-        x = 5  # the first label after c
-        if d != c:
-            if f == d:
-                entry2[r] = 5
-                continue
-            x = 6
-        if e != b and f != e:
-            x += 1
-        entry2[r] = x
-    return entry2
+        else:  # d's label if f is d, else the one after d (or c) and a new e
+            d, e = m1[a], m2[a]
+            x = 5 if f == d else (5 if d == c else 6) + (e != b and f != e)
+        if x < low:
+            low, least = x, [r]
+        elif x == low:
+            least.append(r)
+    if len(least) > 1:
+        entry3 = [_m0_entry3(m, r) for r in least]
+        low = min(entry3)
+        least = [r for r, x in zip(least, entry3) if x == low]
+    return least
+
+
+def _m0_entry3(m, r: int) -> int:
+    """Entry 3 of r's m0 row in a simple graph, by ``_least_roots``' rule."""
+    m0, m1, m2 = m
+    a, b, c = m0[r], m1[r], m2[r]
+    f = m0[b]
+    if f == c:
+        return 3
+    d, e, h, p = m1[a], m2[a], m2[b], m0[c]
+    x = 5  # the next new label
+    if d != c:
+        if p == d:
+            return x
+        x += 1
+    if e != b:
+        if p == e:
+            return x
+        x += 1
+    x += f != d and f != e  # a new f, which p never is
+    return x + (h != a and h != d and p != h)
 
 
 def canonical_graph(g: ColoredGraph) -> ColoredGraph:
@@ -459,38 +490,38 @@ def _canonical_rows(g: ColoredGraph) -> tuple:
     components are then sorted and concatenated.  This is a canonical
     labeling, so equality of canonical graphs is exactly isomorphism.
 
-    The least walk so far is kept partial.  Each later root races it entry
-    by entry along the m0 rows, and the least walk is extended only when
-    the race reaches past its known prefix.  A root stops at its first
+    Only the roots that ``_least_roots`` keeps are walked, since any other
+    is above them at m0 entry 2 or 3.  The least walk so far starts at the
+    first of them and is kept partial.  Each later root races it entry by
+    entry along the m0 rows, and the least walk is extended only when the
+    race reaches past its known prefix.  A root stops at its first
     differing entry: above, it is dropped; below, its walk, stopped there,
     becomes the least one.  The m1 and m2 rows are built only when two m0
     rows tie in full, and for the final least walk.  A full tie of all
     three rows means that zipping the two visit orders is an automorphism;
     a union-find over these automorphisms skips every root whose orbit
     already holds a scanned root, since roots in one orbit have equal
-    encodings.  In a simple graph, a root whose m0 entry 2, read off its
-    neighbourhood, is above the least over its component is not walked at
-    all.  The minimum of a set does not depend on scan order or on how far
-    a losing root is walked, so the result is the one a full walk from
-    every root would give.
+    encodings.  The minimum of a set does not depend on scan order or on
+    how far a losing root is walked, so the result is the one a full walk
+    from every root would give.
     """
     m = g.matchings
     lab, spare = [0] * (g.n + 1), [0] * (g.n + 1)
-    parent = list(range(g.n + 1))  # parent[v] < v once v's orbit holds a lesser vertex
-    entry2 = _m0_entry2(g)
+    parent = None  # parent[v] < v once v's orbit holds a lesser vertex
     least = []
     for comp in _components(g):
-        low = min(map(entry2.__getitem__, comp)) if entry2 else 0
-        order, row0, rows = [comp[0]], [], None
-        lab[comp[0]] = 1
-        for root in comp[1:]:
-            if parent[root] != root or (entry2 and entry2[root] > low):
+        roots = _least_roots(m, comp)
+        order, row0, rows = [roots[0]], [], None
+        lab[roots[0]] = 1
+        for root in roots[1:]:
+            if parent and parent[root] != root:
                 continue
             sign, cur, i = _race(m, spare, root, m, order, lab, row0)
             if not sign:
                 rows = rows or _rows(m, lab, order)
                 cur_rows = _rows(m, spare, cur)
                 if cur_rows == rows:
+                    parent = parent or list(range(g.n + 1))
                     _join(parent, order, cur)
                 elif cur_rows < rows:
                     sign, rows = -1, cur_rows
@@ -504,11 +535,12 @@ def _canonical_rows(g: ColoredGraph) -> tuple:
             else:
                 for v in cur:
                     spare[v] = 0
-        while _step(m, lab, order, row0):
-            pass
+        _walk(m, lab, order, row0)
         least.append((len(order), row0, *(rows or _rows(m, lab, order))))
         for v in order:
             lab[v] = 0
+    if len(least) == 1:
+        return least[0][1:]
     rows: list[list[int]] = [[], [], []]
     offset = 0
     for (k, *enc_rows) in sorted(least):

@@ -404,12 +404,14 @@ def parse_certificate(text: str) -> ReductionCertificate:
     """
     blocks = _split_blocks(text)
     rest = iter(blocks)
-    _, root = _drive(_parse_block(rest, blocks[-1][-1][0]))
+    header, root = _drive(_parse_block(rest, blocks[-1][-1][0]))
     leftover = next(rest, None)
     if leftover is not None:
         raise FormatError(leftover[0][0],
                           "trailing trace block not referenced by any compose record")
-    return ReductionCertificate(certificate_conclusion(root), root)
+    cert = ReductionCertificate(certificate_conclusion(root), root)
+    object.__setattr__(cert, "_header", header)
+    return cert
 
 
 def _parse_block(blocks, last_ln: int):

@@ -11,7 +11,7 @@ witness and the re-chosen weld vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     ColoredGraph,
@@ -21,7 +21,7 @@ from .core import (
     _maps_onto,
     _rows,
     _seam_from_triple,
-    _step,
+    _walk,
     are_isomorphic,
     connected_sum,
     extract_summands,
@@ -203,20 +203,17 @@ def _form_fingerprint(form: CanonicalForm) -> str:
 
     ``core._canonical_rows`` keeps the least encoding over all roots, and
     encodings compare by their m0 rows first.  Every root's m0 entries 0 and
-    1 are 2 and 1, and its entry 2 is the one ``core._m0_entry2`` reads.  So
-    the walk from 3 is a least one:
+    1 are 2 and 1, and only the roots that ``core._least_roots`` finds least
+    at entries 2 and 3 are walked.  So the walk from 3 is a least one:
 
     * L, P(1) and T(1) are vertex-transitive: every root gives one encoding.
     * v -> n+1-v is a colour-preserving automorphism of P(m) and T(m), since
       it maps each formula of ``make_P`` and ``make_T`` onto itself.  So the
       roots v and n+1-v give one encoding.
-    * In P(m), m >= 2, entry 2 is 4 only where m0[m1[r]] == m2[r], which
-      the formulas give at 3 and n-2 alone (the triangles 1-2-3 and
-      (n-2)-(n-1)-n); 4 is the least an entry 2 can be.  Every other root
-      loses at entry 2, and n-2 is the reflection of 3.
-    * In T(m), m >= 2, the least entry 2 is 6, taken only at 2, 3, n-2 and
-      n-1.  Root 3 beats root 2 at entry 3 (7 against 8), and n-2 and n-1
-      are the reflections of 3 and 2.
+    * In P(m) and T(m), m >= 2, ``core._least_roots`` keeps 3 and its
+      reflection n-2 alone.  In P(m) their entry 2 is 4, the least an entry
+      2 can be, from the triangles 1-2-3 and (n-2)-(n-1)-n.  In T(m) it is
+      6, as at 2 and n-1, and root 3 beats root 2 at entry 3 (7 against 8).
 
     The T facts follow from a finite check: entries 2 and 3 read only
     vertices a few steps from the root, the rows repeat with period 4 away
@@ -232,8 +229,7 @@ def _walk_label(h: ColoredGraph, root: int) -> str:
     """The fingerprint text of the connected h as the walk from ``root`` labels it."""
     lab, order, row0 = [0] * (h.n + 1), [root], []
     lab[root] = 1
-    while _step(h.matchings, lab, order, row0):
-        pass
+    _walk(h.matchings, lab, order, row0)
     return _fingerprint_text(h.n, (row0, *_rows(h.matchings, lab, order)))
 
 
@@ -328,6 +324,8 @@ Cert = IsoCert | TraceCert | RecombineCert
 class ReductionCertificate:
     conclusion: CanonicalForm
     root: Cert
+    # The root block's header, set only by ``fileio.parse_certificate``.
+    _header: str | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def certificate_conclusion(node: Cert) -> CanonicalForm:
@@ -362,15 +360,21 @@ def verify_certificate(g: ColoredGraph, cert: ReductionCertificate) -> Canonical
     edge, every compose seam re-derived from its edge triple before its
     summands are built, and every recombined graph rebuilt by ``_weld``
     under the type rule.  A compose field whose summand a witness onto F
-    certifies must be F's fingerprint.  Fingerprints, forms, moves and seam
-    splits go through a call memo, ``reduce``'s when it verifies its own
-    certificate; there each move, and each seam split with its summands,
-    reads back what ``reduce`` derived on the same graph and triple.
+    certifies must be F's fingerprint, and the header that
+    ``fileio.parse_certificate`` read for a root that is no trace must be
+    g's.  Fingerprints, forms, moves and seam splits go through a call
+    memo, ``reduce``'s when it verifies its own certificate; there each
+    move, and each seam split with its summands, reads back what
+    ``reduce`` derived on the same graph and triple.
     """
     if cert.conclusion.vertex_count != g.n:
         raise CertificateError("conclusion vertex count does not match the input")
     with _open_call_memo():
         form = _drive(_verify_node(g, cert.root))
+        # A root trace's replay checks its header; no other root reads it.
+        if (cert._header is not None and not isinstance(cert.root, TraceCert)
+                and cert._header != fingerprint(g)):
+            raise CertificateError("root header fingerprint does not match the input graph")
     if form != cert.conclusion:
         raise CertificateError(f"certificate concludes {form}, claimed {cert.conclusion}")
     return form

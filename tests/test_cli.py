@@ -227,6 +227,27 @@ def test_verify_checks_the_header_of_a_conclude_only_summand(tmp_path, capsys):
                                        "is not that of T(1)\n")
 
 
+def test_verify_checks_the_header_of_a_conclude_only_root(tmp_path, capsys):
+    """No trace replays from the header of a root block that holds only a
+    conclude, so verify compares it with the input graph's fingerprint."""
+    gf = str(tmp_path / "t1.gem")
+    cf = str(tmp_path / "t1.cert")
+    assert main(["gen", "T", "1", "-o", gf]) == 0
+    assert main(["reduce", gf, "-o", cf]) == 0
+    text = (tmp_path / "t1.cert").read_text()
+    lines = text.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("conclude T1 ")
+    g = fileio.parse_graph((tmp_path / "t1.gem").read_text())
+    assert fileio.write_certificate(g, fileio.parse_certificate(text)) == text
+    k4 = gs.fingerprint(gs.make_P1())
+    assert k4 == "4:2.1.4.3:3.4.1.2:4.3.2.1"
+    bad = write(tmp_path, "bad.cert", f"trace 1 {k4}\n{lines[1]}\n")
+    capsys.readouterr()
+    assert main(["verify", gf, bad]) == 1
+    assert capsys.readouterr().err == ("verification failed: root header fingerprint "
+                                       "does not match the input graph\n")
+
+
 # Certificates that ``reduce`` wrote while a K4 split could leave a torus
 # remainder: they weld P(1) to T(k) and rewrite a torus # K4 sum to P(3).
 PT_WELD_CERTS = Path(__file__).with_name("pt_weld_certs")

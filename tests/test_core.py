@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gemsurf as gs
-from gemsurf import ValidationError
+from gemsurf import ValidationError, core
 from gemsurf.catalog import enumerate_contracted
-from gemsurf.core import _m0_entry2, _maps_onto, graph_from_matchings
+from gemsurf.core import _components, _least_roots, _m0_entry3, _maps_onto, graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
 from test_golden import _disjoint_union, circ, prism, random_contracted
 
@@ -310,18 +310,63 @@ def test_encoder_matches_full_scan_on_random_matchings():
 
 
 def test_m0_entry2_matches_the_full_walk():
-    # canonical_graph skips a root of a simple graph whose entry 2 is above
-    # the least; the entry must be exactly the one the full walk finds.
+    # canonical_graph walks only the roots of a simple component whose m0
+    # entries 2 and 3, read off the neighbourhood, are least; they must be
+    # exactly the roots at the least entries the full walk finds.
     rng = random.Random(41)
     graphs = [g for g in tie_heavy_graphs() if g.is_simple()]
     graphs += [g for g in (random_matchings_graph(rng, rng.randrange(4, 41, 2))
                            for _ in range(600)) if g.is_simple()]
     assert len(graphs) > 300
     for g in graphs:
-        want = [full_encoding(g, root)[0][1][2] for root in range(1, g.n + 1)]
-        assert _m0_entry2(g)[1:] == want
-    assert _m0_entry2(copies(gs.make_T1(), 2)) is not None
-    assert _m0_entry2(gs.make_L()) is None
+        for comp in _components(g):
+            heads = {r: full_encoding(g, r)[0][1][2:4] for r in comp}
+            low = min(heads.values())
+            assert _least_roots(g.matchings, comp) == [r for r in comp if heads[r] == low]
+    comp = range(1, 3)
+    assert _least_roots(gs.make_L().matchings, comp) is comp
+
+
+def test_m0_entry3_matches_the_full_walk():
+    rng = random.Random(42)
+    graphs = [g for g in tie_heavy_graphs() if g.is_simple()]
+    randoms = []
+    while len(randoms) < 600:
+        g = random_matchings_graph(rng, rng.randrange(4, 41, 2))
+        if g.is_simple():
+            randoms.append(g)
+    for g in graphs + randoms:
+        for root in range(1, g.n + 1):
+            assert _m0_entry3(g.matchings, root) == full_encoding(g, root)[0][1][3]
+
+
+def test_each_component_keeps_its_own_least_roots():
+    """Every root at the least m0 entries 2 and 3 of the whole graph lies
+    outside vertex 1's component; that component must still be labelled
+    from its own least roots."""
+    for parts in ((prism(8), gs.make_P(3)), (prism(8), gs.make_T(2), prism(6))):
+        g = _disjoint_union(*parts)
+        heads = {r: full_encoding(g, r)[0][1][2:4] for r in range(1, g.n + 1)}
+        low = min(heads.values())
+        assert all(r > parts[0].n for r in heads if heads[r] == low)
+        assert gs.canonical_graph(g) == unpruned_canonical(g)
+
+
+def test_reduce_races_few_roots(monkeypatch):
+    """Filtering roots by m0 entries 2 and 3 leaves few to race: reduce of
+    the seeded bipartite n=66 graph runs 89 races, where a filter on entry
+    2 alone ran 395."""
+    races = 0
+    race = core._race
+
+    def counted(*args):
+        nonlocal races
+        races += 1
+        return race(*args)
+
+    monkeypatch.setattr(core, "_race", counted)
+    gs.reduce(random_contracted(random.Random(66), 66, True))
+    assert races <= 120
 
 
 def test_are_isomorphic_witness_matches_full_scan():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import gemsurf as gs
 from gemsurf import CertificateError, ReductionError, TraceError, fileio, moves
 from gemsurf.catalog import enumerate_contracted
-from gemsurf.core import _m0_entry2, _maps_onto, _step, seam_from_side
+from gemsurf.core import _least_roots, _maps_onto, _walk, seam_from_side
 from gemsurf.moves import enumerate_cut_specs
 from gemsurf.reduction import (
     CanonicalForm,
@@ -173,8 +173,7 @@ def _m0_prefix(g, root, k):
     """The first k entries of the m0 row of the walk from ``root``."""
     lab, order, row0 = [0] * (g.n + 1), [root], []
     lab[root] = 1
-    while len(row0) < k and _step(g.matchings, lab, order, row0):
-        pass
+    _walk(g.matchings, lab, order, row0, k)
     return row0
 
 
@@ -184,16 +183,11 @@ def assert_reflection_is_an_automorphism(form):
 
 
 def assert_least_entry2_roots(form):
-    """Only 3 and n-2 reach P(m)'s least m0 entry 2, which is 4; only 2, 3,
-    n-2 and n-1 reach T(m)'s, which is 6."""
+    """Only 3 and n-2 reach the least m0 entries 2 and 3 of P(m) and T(m);
+    entry 2 is 4 there in P(m) and 6 in T(m)."""
     g = gs.realize(form)
-    n, entry2 = g.n, _m0_entry2(g)
-    low = min(entry2[1:])
-    least = [r for r in range(1, n + 1) if entry2[r] == low]
-    if form.kind == "P":
-        assert low == 4 and least == [3, n - 2]
-    else:
-        assert low == 6 and least == [2, 3, n - 2, n - 1]
+    assert _least_roots(g.matchings, range(1, g.n + 1)) == [3, g.n - 2]
+    assert _m0_prefix(g, 3, 3)[2] == (4 if form.kind == "P" else 6)
 
 
 def assert_root3_beats_root2(form):

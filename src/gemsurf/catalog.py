@@ -36,7 +36,7 @@ from .core import (
     is_bipartite,
 )
 from .moves import _fingerprint_text
-from .reduction import CanonicalForm, canonical_of
+from .reduction import CanonicalForm, _cycle_rows, canonical_of
 from .surfaces import complex_stats
 
 
@@ -65,19 +65,6 @@ class Catalog:
         return sum(1 for e in self.classes if e.bipartite)
 
 
-def _standard_cycle_matchings(n: int):
-    m0 = [0] * (n + 1)
-    m1 = [0] * (n + 1)
-    for i in range(1, n + 1, 2):
-        m0[i] = i + 1
-        m0[i + 1] = i
-    for i in range(2, n + 1, 2):
-        j = i + 1 if i < n else 1
-        m1[i] = j
-        m1[j] = i
-    return tuple(m0), tuple(m1)
-
-
 def _contracted_rows(n: int):
     """Every color-2 row on 1..n that makes the standard cycle contracted.
 
@@ -86,7 +73,7 @@ def _contracted_rows(n: int):
     integers: the row, the open-path ends ``end0`` (color 0 and 2) and
     ``end1`` (color 1 and 2), and a linked list of the unpaired vertices.
     """
-    end0, end1 = (list(m) for m in _standard_cycle_matchings(n))
+    end0, end1 = (list(m) for m in _cycle_rows(n))
     nxt = list(range(1, n + 3))  # unpaired vertices as a linked list: 0 heads it,
     prv = list(range(-1, n + 1))  # n + 1 ends it
     row = [0] * (n + 1)
@@ -167,7 +154,7 @@ def enumerate_contracted(n: int, bound: int = 12) -> Catalog:
     if n > bound:
         raise CatalogError(f"n={n} exceeds the enumeration bound {bound}; "
                            "raise the bound deliberately for larger runs")
-    m0, m1 = _standard_cycle_matchings(n)
+    m0, m1 = _cycle_rows(n)
     syms = _cycle_symmetries(n)
     entries = []
     for m2 in _contracted_rows(n):

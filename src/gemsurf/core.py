@@ -97,11 +97,6 @@ def graph_from_matchings(n: int, m0, m1, m2) -> ColoredGraph:
     return ColoredGraph(n, (tuple(m0), tuple(m1), tuple(m2)))
 
 
-def graph_from_pairs(n: int, pairs_by_color: tuple) -> ColoredGraph:
-    """Build a graph from three lists of vertex pairs, one list per color."""
-    return validate(n, ((c, u, v) for c in COLORS for (u, v) in pairs_by_color[c]))
-
-
 def validate(n: int, edge_records) -> ColoredGraph:
     """Check (color, u, v) records and return the graph.
 

@@ -26,7 +26,6 @@ from .core import (
     connected_sum,
     extract_summands,
     graph_from_matchings,
-    graph_from_pairs,
     is_bipartite,
     is_contracted,
     renumbering,
@@ -118,28 +117,7 @@ def parse_form_token(tok: str) -> CanonicalForm:
 
 def make_L() -> ColoredGraph:
     """The 2-vertex graph: all three colors on the pair {1, 2}."""
-    return graph_from_pairs(2, ([(1, 2)], [(1, 2)], [(1, 2)]))
-
-
-def make_P1() -> ColoredGraph:
-    """K4 with a proper 3-edge-coloring; the unique contracted 4-vertex graph."""
-    return graph_from_pairs(4, ([(1, 2), (3, 4)],
-                                [(2, 3), (4, 1)],
-                                [(1, 3), (2, 4)]))
-
-
-def make_T1() -> ColoredGraph:
-    """K33 hexagon with antipodal color-2 edges; the bipartite 6-vertex graph."""
-    return graph_from_pairs(6, ([(1, 2), (3, 4), (5, 6)],
-                                [(2, 3), (4, 5), (6, 1)],
-                                [(1, 4), (2, 5), (3, 6)]))
-
-
-def make_P2() -> ColoredGraph:
-    """The non-bipartite contracted 6-vertex graph."""
-    return graph_from_pairs(6, ([(1, 2), (3, 4), (5, 6)],
-                                [(2, 3), (4, 5), (6, 1)],
-                                [(1, 4), (2, 6), (3, 5)]))
+    return graph_from_matchings(2, (0, 2, 1), (0, 2, 1), (0, 2, 1))
 
 
 def make_P(m: int) -> ColoredGraph:
@@ -171,16 +149,24 @@ def _join(row: list, ints: tuple, first: int, last: int, step: int, d: int) -> N
     row[first + d:last + d + 1:step] = ints[first:last + 1:step]
 
 
+def _cycle_rows(n: int) -> tuple[tuple, tuple]:
+    """The m0 and m1 rows of the standard {0,1}-cycle on 1..n: color 0 joins v
+    and v+1 for odd v, color 1 joins v and v+1 for even v < n, and n and 1."""
+    ints = _VERTICES if n < len(_VERTICES) else tuple(range(n + 1))
+    m0, m1 = [0] * (n + 1), [0] * (n + 1)
+    _join(m0, ints, 1, n - 1, 2, 1)
+    _join(m1, ints, 2, n - 2, 2, 1)
+    m1[1], m1[n] = n, 1
+    return tuple(m0), tuple(m1)
+
+
 def _form_graph(form: CanonicalForm) -> ColoredGraph:
     """A new graph of ``form``, its rows written from ``make_P``'s or ``make_T``'s formulas."""
     if form.kind == "L":
         return make_L()
     n = form.vertex_count
     ints = _VERTICES if n < len(_VERTICES) else tuple(range(n + 1))
-    m0, m1, m2 = ([0] * (n + 1) for _ in range(3))
-    _join(m0, ints, 1, n - 1, 2, 1)
-    _join(m1, ints, 2, n - 2, 2, 1)
-    m1[1], m1[n] = n, 1
+    m2 = [0] * (n + 1)
     if form.kind == "P":
         _join(m2, ints, 2, n - 4, 2, 3)
         m2[1], m2[3], m2[n - 2], m2[n] = 3, 1, n, n - 2
@@ -188,7 +174,7 @@ def _form_graph(form: CanonicalForm) -> ColoredGraph:
         _join(m2, ints, 2, n - 4, 4, 3)
         _join(m2, ints, 3, n - 7, 4, 5)
         m2[1], m2[4], m2[n - 3], m2[n] = 4, 1, n, n - 3
-    return graph_from_matchings(n, m0, m1, m2)
+    return graph_from_matchings(n, *_cycle_rows(n), m2)
 
 
 def realize(form: CanonicalForm) -> ColoredGraph:
@@ -445,8 +431,6 @@ class SplitOff:
 def _anchors(g: ColoredGraph, bipartite: bool):
     """Check a split's preconditions, then yield its anchors in a fixed order.
 
-    The caller has found g ``bipartite`` or not; the parity check is its own.
-
     A standard labeling v_1..v_n reads the {0,1}-cycle ``cyc`` forwards from
     an even index ``off`` or backwards from an odd one, so each v_{2i-1}v_{2i}
     is a color-0 edge and cyc[k] sits at position d*(k-off) % n + 1, d = 1 or -1.
@@ -458,6 +442,14 @@ def _anchors(g: ColoredGraph, bipartite: bool):
     split.  Anchors come least (j, s, t) first, first found on ties, and
     only the labeling of an anchor taken is built.  Yields
     (labeling, j, s, t); labeling[k] is v_k.
+
+    A contracted g has an anchor with j odd exactly when it is not
+    bipartite, so the scan checks the K4 split's parity.  If g is bipartite,
+    positions on the Hamiltonian {0,1}-cycle alternate between its colour
+    classes, so every colour-2 edge joins positions of opposite parity and
+    j is even.  If not, some colour-2 edge joins positions of one parity,
+    and the scan takes each of its ends as v1, so j is odd.  The torus split
+    checks its parity first: on a non-bipartite graph its scan can fail.
     """
     if not is_contracted(g):
         raise ReductionError("split requires a contracted graph")
@@ -484,46 +476,16 @@ def _anchors(g: ColoredGraph, bipartite: bool):
                 "internal: no crossing color-2 edge; contradicts Hamiltonicity")
         found.append(((j, s, t), off, d))
     if not found:
-        raise ReductionError("internal: no color-2 edge from v1 of the required parity")
+        raise ReductionError(f"this split requires a {'' if bipartite else 'non-'}"
+                             "bipartite graph")
     found.sort(key=lambda anchor: anchor[0])  # stable: first found on ties
     for (j, s, t), off, d in found:
         yield [0] + [cyc[(off + d * k) % n] for k in range(n)], j, s, t
 
 
-def _choose_anchor(g: ColoredGraph, bipartite: bool):
-    """The least anchor of ``_anchors``, which the public splits take."""
-    return next(_anchors(g, bipartite))
-
-
-def _check_split_input(g: ColoredGraph, bipartite: bool) -> None:
-    """Refuse g as a public split does: not contracted, then of the wrong
-    parity.  ``_choose_anchor`` checks the rest; ``reduce`` knows g's parity."""
-    if not is_contracted(g):
-        raise ReductionError("split requires a contracted graph")
-    if (is_bipartite(g) is not None) != bipartite:
-        raise ReductionError(f"this split requires a {'' if bipartite else 'non-'}"
-                             "bipartite graph")
-
-
-def _summands_at(g: ColoredGraph, side: frozenset[int]):
-    """The seam around ``side`` and its two summands, ``side``'s first.
-
-    Returns (seam, side's summand, the other summand, whether ``side`` is
-    side A).  A summand numbers its side's vertices in their order in g,
-    then the apex.  The summands are kept in the open call memo under the
-    identity of g and the seam's edge triple, which fix the seam, so
-    ``reduce``'s self-verify reads them back without deriving it again.
-    """
-    seam = seam_from_side(g, side)
-    s_a, _, s_b, _ = _memoized((id(g), seam.edges), extract_summands, g, seam)
-    if seam.side_a == side:
-        return seam, s_a, s_b, True
-    return seam, s_b, s_a, False
-
-
 def _split(g: ColoredGraph, triple):
     """The summands of g at the seam on the edge ``triple``, derived from the
-    triple as a verifier must: the value ``_summands_at`` keeps for that seam."""
+    triple as a verifier must: the value ``_detach`` keeps for that seam."""
     seam = _seam_from_triple(g, triple)
     if seam is None:
         raise CertificateError(f"recorded edge triple {triple} is not a seam")
@@ -535,7 +497,13 @@ def _detach(g: ColoredGraph, steps, block: frozenset[int], form: CanonicalForm) 
     side of the last graph whose summand must be the canonical graph of ``form``."""
     trace = MoveTrace(fingerprint(g), tuple((move, fingerprint(h)) for move, h in steps))
     final = steps[-1][1]
-    seam, piece, remainder, piece_is_side_a = _summands_at(final, block)
+    seam = seam_from_side(final, block)
+    # The summands are kept in the call memo under the identity of final and the
+    # seam's edge triple, which fix the seam, so ``reduce``'s self-verify reads
+    # them back without deriving it again.
+    s_a, _, s_b, _ = _memoized((id(final), seam.edges), extract_summands, final, seam)
+    piece_is_side_a = seam.side_a == block
+    piece, remainder = (s_a, s_b) if piece_is_side_a else (s_b, s_a)
     return SplitOff(trace, final, seam, piece, piece_is_side_a, remainder,
                     _iso_cert(piece, form))
 
@@ -544,7 +512,7 @@ def split_off_T1(g: ColoredGraph) -> SplitOff:
     """Two cut-and-glue moves detaching a 6-vertex torus block.
 
     With the cycle labeled v1..vn (color 0 on v_{2i-1}v_{2i}) and the
-    anchor edges chosen as in ``_choose_anchor`` (j even):
+    least anchor of ``_anchors`` (j even):
 
     * move 1 cuts the color-0 edge v_{j-1}v_j and the color-1 edge v2v3
       (z1 on the arc through v3) and glues at (v_s, v_t);
@@ -556,8 +524,9 @@ def split_off_T1(g: ColoredGraph) -> SplitOff:
     and cutting it is the faithful generalization.  The result carries the
     seam around {z1, z1', v2, z2, z2'}, whose summand is the torus block.
     """
-    _check_split_input(g, bipartite=True)
-    return _split_T1(g, *_choose_anchor(g, bipartite=True))
+    if is_bipartite(g) is None:
+        raise ReductionError("this split requires a bipartite graph")
+    return _split_T1(g, *next(_anchors(g, bipartite=True)))
 
 
 def _split_T1(g: ColoredGraph, v, j: int, s: int, t: int) -> SplitOff:
@@ -582,15 +551,17 @@ def _split_T1(g: ColoredGraph, v, j: int, s: int, t: int) -> SplitOff:
 
 
 def split_off_P1(g: ColoredGraph) -> SplitOff:
-    """One cut-and-glue move detaching a 4-vertex K4 block.
-
-    With the anchor chosen as in ``_choose_anchor`` (j odd): cuts the
-    color-0 edge v1v2 and the color-1 edge v_{j-1}v_j (z1 on the arc
-    through v2), glues at (v_s, v_t); the block summand sits on
-    {v1, z2, v_j} plus the apex.
+    """One cut-and-glue move detaching a 4-vertex K4 block from the
+    non-bipartite g, at the least anchor of ``_anchors`` (j odd) whose
+    remainder, read off the anchor, is not bipartite: cuts the color-0 edge
+    v1v2 and the color-1 edge v_{j-1}v_j (z1 on the arc through v2), glues
+    at (v_s, v_t); the block summand sits on {v1, z2, v_j} plus the apex.
     """
-    _check_split_input(g, bipartite=False)
-    return _split_P1(g, *_choose_anchor(g, bipartite=False))
+    for anchor in _anchors(g, bipartite=False):
+        if not _remainder_is_bipartite(g, *anchor):
+            return _split_P1(g, *anchor)
+    raise ReductionError("internal: no K4 split keeps the remainder non-bipartite "
+                         f"on {g.n} vertices")
 
 
 def _split_P1(g: ColoredGraph, v, j: int, s: int, t: int) -> SplitOff:
@@ -683,7 +654,7 @@ def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
     """
     splits = []
     while g.n > 6:
-        splits.append(_split_T1(g, *_choose_anchor(g, True)) if bipartite else _keeping_split(g))
+        splits.append(_split_T1(g, *next(_anchors(g, True))) if bipartite else split_off_P1(g))
         g = splits[-1].remainder
     form = canonical_of(g.n, bipartite)
     node, fp = _iso_cert(g, form), _form_fingerprint(form)
@@ -698,17 +669,6 @@ def _reduce_node(g: ColoredGraph, bipartite: bool) -> Cert:
                                                  rest, left_fp, right_fp, _form_fingerprint(form)))
         fp = sp.trace.initial
     return node
-
-
-def _keeping_split(g: ColoredGraph) -> SplitOff:
-    """The K4 split of the non-bipartite g at the least anchor whose
-    remainder is not bipartite.  The parity is read off each anchor, so only
-    the split taken is built."""
-    for anchor in _anchors(g, bipartite=False):
-        if not _remainder_is_bipartite(g, *anchor):
-            return _split_P1(g, *anchor)
-    raise ReductionError("internal: no K4 split keeps the remainder non-bipartite "
-                         f"on {g.n} vertices")
 
 
 def _remainder_is_bipartite(g: ColoredGraph, v, j: int, s: int, t: int) -> bool:

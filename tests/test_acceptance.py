@@ -15,6 +15,7 @@ from gemsurf.core import seam_from_side
 from gemsurf.moves import enumerate_cut_specs, enumerate_glue_specs
 from gemsurf.reduction import form_P, form_T
 from gemsurf.surfaces import classify_surface, complex_stats, crystallization_of
+from test_golden import p2_hexagon
 
 
 @contextmanager
@@ -57,7 +58,7 @@ def test_c2_no_bipartite_on_4m_vertices():
 def test_c3_figure_replication():
     with criterion(3, "recorded cut-and-glue on the K4#torus weld lands on P(3)"):
         start = time.monotonic()
-        g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+        g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
         # the welded 8-vertex graph, exactly as drawn
         expected = {
             (0, 2, 3), (0, 4, 5), (0, 7, 8), (0, 1, 6),
@@ -116,9 +117,9 @@ def test_c6_classification_fixtures():
     with criterion(6, "surface fixtures and the two classifier derivations "
                       "agree on every class up to n=12"):
         assert classify_surface(gs.make_L()) == gs.sphere()
-        assert classify_surface(gs.make_P1()) == gs.nonorientable(1)
-        assert classify_surface(gs.make_T1()) == gs.orientable(1)
-        assert classify_surface(gs.make_P2()) == gs.nonorientable(2)
+        assert classify_surface(gs.make_P(1)) == gs.nonorientable(1)
+        assert classify_surface(gs.make_T(1)) == gs.orientable(1)
+        assert classify_surface(p2_hexagon()) == gs.nonorientable(2)
         for n in (2, 4, 6, 8, 10, 12):
             for entry in enumerate_contracted(n).classes:
                 # classify_surface raises on any disagreement between the
@@ -142,7 +143,7 @@ def test_c7_euler_characteristic_law():
 def test_c8_parity_certificates():
     with criterion(8, "parity certificates for the 6- and 10-vertex torus "
                       "graphs report even full cycles and conclude consistency"):
-        t1 = gs.make_T1()
+        t1 = gs.make_T(1)
         cert = parity_certificate(t1, gs.is_bipartite(t1))
         assert cert.sigma1_cycle_type == (3,) and cert.sigma2_cycle_type == (3,)
         assert cert.ratio_cycle_type == (3,)

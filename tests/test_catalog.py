@@ -7,13 +7,13 @@ import gemsurf as gs
 from gemsurf.catalog import (
     CatalogError,
     _contracted_rows,
-    _standard_cycle_matchings,
     enumerate_contracted,
     parity_certificate,
 )
 from gemsurf.core import graph_from_matchings
-from gemsurf.reduction import form_P, form_T
+from gemsurf.reduction import _cycle_rows, form_P, form_T
 from test_core import full_encoding
+from test_golden import p2_hexagon
 
 
 def all_involutions(vertices):
@@ -28,7 +28,7 @@ def all_involutions(vertices):
 
 
 def standard_graph(n, m2):
-    m0, m1 = _standard_cycle_matchings(n)
+    m0, m1 = _cycle_rows(n)
     return graph_from_matchings(n, m0, m1, m2)
 
 
@@ -86,11 +86,11 @@ def test_small_classes_match_the_generators():
     cat2 = enumerate_contracted(2)
     assert gs.are_isomorphic(cat2.classes[0].graph, gs.make_L()) is not None
     cat4 = enumerate_contracted(4)
-    assert gs.are_isomorphic(cat4.classes[0].graph, gs.make_P1()) is not None
+    assert gs.are_isomorphic(cat4.classes[0].graph, gs.make_P(1)) is not None
     cat6 = enumerate_contracted(6)
     reps = [e.graph for e in cat6.classes]
-    assert any(gs.are_isomorphic(g, gs.make_T1()) for g in reps)
-    assert any(gs.are_isomorphic(g, gs.make_P2()) for g in reps)
+    assert any(gs.are_isomorphic(g, gs.make_T(1)) for g in reps)
+    assert any(gs.are_isomorphic(g, p2_hexagon()) for g in reps)
 
 
 def test_bipartite_counts():
@@ -181,7 +181,7 @@ def test_no_bipartite_class_at_n16():
 
 
 def test_parity_certificate_t1():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     cert = parity_certificate(g, gs.is_bipartite(g))
     # blacks 1,3,5; whites indexed 2,4,6 via the color-0 matching
     assert cert.half == 3
@@ -226,7 +226,7 @@ def test_parity_certificate_near_miss():
 
 
 def test_parity_certificate_rejects_unequal_parts():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     bad = gs.Bipartition(frozenset({1, 2, 3, 5}), frozenset({4, 6}))
     with pytest.raises(CatalogError):
         parity_certificate(g, bad)

@@ -7,6 +7,7 @@ import gemsurf as gs
 from gemsurf import fileio
 from gemsurf.cli import main
 from gemsurf.core import seam_from_side
+from test_golden import p2_hexagon
 
 
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
@@ -20,7 +21,7 @@ def write(tmp_path, name, text):
 
 
 def t1_file(tmp_path):
-    return write(tmp_path, "t1.gem", fileio.write_graph(gs.make_T1()))
+    return write(tmp_path, "t1.gem", fileio.write_graph(gs.make_T(1)))
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -37,7 +38,7 @@ def test_validate_positioned_error(tmp_path, capsys):
 
 
 def test_validate_arity_error(tmp_path, capsys):
-    text = fileio.write_graph(gs.make_T1()).splitlines()[:-1]
+    text = fileio.write_graph(gs.make_T(1)).splitlines()[:-1]
     path = write(tmp_path, "short.gem", "\n".join(text) + "\n")
     assert main(["validate", path]) == 3
     assert "3n/2" in capsys.readouterr().err
@@ -54,7 +55,7 @@ def test_info_l_and_p2(tmp_path, capsys):
     lf = write(tmp_path, "l.gem", fileio.write_graph(gs.make_L()))
     assert main(["info", lf]) == 0
     assert "χ=2 L sphere" in capsys.readouterr().out
-    pf = write(tmp_path, "p2.gem", fileio.write_graph(gs.make_P2()))
+    pf = write(tmp_path, "p2.gem", fileio.write_graph(p2_hexagon()))
     assert main(["info", pf]) == 0
     assert "non-bipartite χ=0 P(2) non-orientable genus 2" in capsys.readouterr().out
 
@@ -112,10 +113,10 @@ def test_enum_bad_n_is_usage_error(tmp_path, capsys, argv, message):
 
 def test_iso_negative_and_positive(tmp_path, capsys):
     a = t1_file(tmp_path)
-    b = write(tmp_path, "p2.gem", fileio.write_graph(gs.make_P2()))
+    b = write(tmp_path, "p2.gem", fileio.write_graph(p2_hexagon()))
     assert main(["iso", a, b]) == 1
     assert capsys.readouterr().out == "non-isomorphic\n"
-    shuffled = gs.relabel(gs.make_T1(), {1: 3, 2: 4, 3: 5, 4: 6, 5: 1, 6: 2})
+    shuffled = gs.relabel(gs.make_T(1), {1: 3, 2: 4, 3: 5, 4: 6, 5: 1, 6: 2})
     c = write(tmp_path, "t1s.gem", fileio.write_graph(shuffled))
     assert main(["iso", a, c]) == 0
     assert capsys.readouterr().out.startswith("isomorphic: 1->")
@@ -132,7 +133,7 @@ def disjoint_union(*graphs):
 @pytest.mark.parametrize("g, k, expected", [
     (gs.make_T(2), 3,
      "isomorphic: 1->3 2->6 3->9 4->2 5->5 6->8 7->1 8->4 9->7 10->10\n"),
-    (disjoint_union(gs.make_T1(), gs.make_P1(), gs.make_L()), 5,
+    (disjoint_union(gs.make_T(1), gs.make_P(1), gs.make_L()), 5,
      "isomorphic: 1->1 2->6 3->5 4->10 5->3 6->8 7->2 8->9 9->4 10->11 11->7 12->12\n"),
 ])
 def test_iso_witness_bytes(tmp_path, capsys, g, k, expected):
@@ -146,7 +147,7 @@ def test_iso_witness_bytes(tmp_path, capsys, g, k, expected):
 
 
 def test_reduce_verify_round_trip(tmp_path, capsys):
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     gf = write(tmp_path, "g.gem", fileio.write_graph(g))
     tf = str(tmp_path / "g.trace")
     assert main(["reduce", gf, "-o", tf]) == 0
@@ -239,7 +240,7 @@ def test_verify_checks_the_header_of_a_conclude_only_root(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("conclude T1 ")
     g = fileio.parse_graph((tmp_path / "t1.gem").read_text())
     assert fileio.write_certificate(g, fileio.parse_certificate(text)) == text
-    k4 = gs.fingerprint(gs.make_P1())
+    k4 = gs.fingerprint(gs.make_P(1))
     assert k4 == "4:2.1.4.3:3.4.1.2:4.3.2.1"
     bad = write(tmp_path, "bad.cert", f"trace 1 {k4}\n{lines[1]}\n")
     capsys.readouterr()
@@ -282,7 +283,7 @@ def test_verify_pure_trace(tmp_path, capsys):
 
 
 def test_apply_writes_final_graph(tmp_path, capsys):
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     trace, _ = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
     gf = write(tmp_path, "g.gem", fileio.write_graph(g))
     tf = write(tmp_path, "g.trace", fileio.write_trace(trace))
@@ -296,7 +297,7 @@ def test_apply_writes_final_graph(tmp_path, capsys):
 def test_apply_prints_the_checked_fingerprint(tmp_path, capsys, steps):
     """apply prints the last checkpoint (or the header of an empty trace),
     which equals the final graph's fingerprint."""
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     trace, final = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset({1, 2, 3})))
     if steps == 0:
         trace, final = gs.MoveTrace(trace.initial, ()), g
@@ -462,7 +463,7 @@ def _trivial_seam_certificate(records, nested, weld="6-1"):
     Chained, the records follow each other in the root block; nested, each
     record's left summand block holds the next one.
     """
-    t1 = gs.fingerprint(gs.make_T1())
+    t1 = gs.fingerprint(gs.make_T(1))
     compose = (f"compose left={t1} right={gs.fingerprint(gs.make_L())} "
                f"seam=0:5-6,1:1-6,2:3-6 weld={weld} -> {t1}")
     conclude_t1 = "conclude T1 map=" + ",".join(f"{u}-{u}" for u in range(1, 7))

@@ -11,7 +11,7 @@ from gemsurf import ValidationError, core
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.core import _components, _least_roots, _m0_entry3, _maps_onto, graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
-from test_golden import _disjoint_union, circ, prism, random_contracted
+from test_golden import _disjoint_union, circ, p2_hexagon, prism, random_contracted
 
 T1_EDGES = [(0, 1, 2), (0, 3, 4), (0, 5, 6),
             (1, 2, 3), (1, 4, 5), (1, 6, 1),
@@ -46,7 +46,12 @@ def random_relabeling(g, rng):
 
 def test_validate_t1():
     g = gs.validate(6, [(c, u, v) for (c, u, v) in T1_EDGES])
-    assert g == gs.make_T1()
+    assert g == gs.make_T(1)
+
+
+def test_validate_p1():
+    g = gs.validate(4, [(0, 1, 2), (0, 3, 4), (1, 2, 3), (1, 4, 1), (2, 1, 3), (2, 2, 4)])
+    assert g == gs.make_P(1)
 
 
 def test_validate_l():
@@ -93,7 +98,7 @@ def doubled_graph():
 
 
 def test_t1_hexagon():
-    cyc = gs.bicolored_cycles(gs.make_T1(), 0, 1)
+    cyc = gs.bicolored_cycles(gs.make_T(1), 0, 1)
     assert cyc.cycles == ((1, 2, 3, 4, 5, 6),)
 
 
@@ -118,7 +123,7 @@ def test_cycles_partition_vertices():
 
 
 def test_is_contracted_examples():
-    assert gs.is_contracted(gs.make_T1())
+    assert gs.is_contracted(gs.make_T(1))
     assert gs.is_contracted(gs.make_L())
 
 
@@ -134,13 +139,13 @@ def test_contracted_implies_simple():
 
 
 def test_bipartite_t1():
-    b = gs.is_bipartite(gs.make_T1())
+    b = gs.is_bipartite(gs.make_T(1))
     assert b.blacks == frozenset({1, 3, 5})
     assert b.whites == frozenset({2, 4, 6})
 
 
 def test_bipartite_p1_none():
-    assert gs.is_bipartite(gs.make_P1()) is None
+    assert gs.is_bipartite(gs.make_P(1)) is None
 
 
 def test_bipartite_l():
@@ -166,7 +171,7 @@ def test_iso_reflexive_and_witness():
 
 
 def test_iso_symmetric_witness_inverts():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     h = gs.relabel(g, {1: 3, 2: 4, 3: 5, 4: 6, 5: 1, 6: 2})
     m = gs.are_isomorphic(g, h)
     check_iso_witness(g, h, m)
@@ -175,8 +180,8 @@ def test_iso_symmetric_witness_inverts():
 
 
 def test_iso_t1_vs_p2_and_l_vs_p1():
-    assert gs.are_isomorphic(gs.make_T1(), gs.make_P2()) is None
-    assert gs.are_isomorphic(gs.make_L(), gs.make_P1()) is None
+    assert gs.are_isomorphic(gs.make_T(1), p2_hexagon()) is None
+    assert gs.are_isomorphic(gs.make_L(), gs.make_P(1)) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -264,10 +269,10 @@ def tie_heavy_graphs():
     circ(66, 3), circ(130, 3), prisms, T(5) and P(9), and a prism beside a
     random graph twice, each also relabelled."""
     rng = random.Random(11)
-    graphs = [copies(g, k) for g in (gs.make_L(), gs.make_P1(), gs.make_T1())
+    graphs = [copies(g, k) for g in (gs.make_L(), gs.make_P(1), gs.make_T(1))
               for k in (2, 3, 5)]
     graphs += [e.graph for n in range(2, 11, 2) for e in enumerate_contracted(n).classes]
-    for source in (gs.make_T(2), gs.make_P(3), copies(gs.make_P1(), 2)):
+    for source in (gs.make_T(2), gs.make_P(3), copies(gs.make_P(1), 2)):
         graphs += [gs.simple_cut(source, spec) for spec in enumerate_cut_specs(source)][::3]
     graphs += [circ(66, 3), circ(130, 3), gs.make_T(5), gs.make_P(9)]
     graphs += [prism(k) for k in range(4, 33, 2)]
@@ -385,14 +390,14 @@ def test_are_isomorphic_witness_matches_full_scan():
 
 
 def test_sum_vertex_count():
-    g = gs.connected_sum(gs.make_T1(), 1, gs.make_P1(), 1)
+    g = gs.connected_sum(gs.make_T(1), 1, gs.make_P(1), 1)
     assert g.n == 8
 
 
 def test_sum_reproduces_figure_graph():
     # P1 welded at u1 with the hexagon welded at its vertex 4; ids:
     # u2,u3,u4 -> 1,2,3 and v1,v2,v3,v5,v6 -> 4,5,6,7,8
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     expected = {
         (0, 2, 3), (0, 4, 5), (0, 7, 8), (0, 1, 6),
         (1, 1, 2), (1, 5, 6), (1, 4, 8), (1, 3, 7),
@@ -414,7 +419,7 @@ def test_sum_of_contracted_is_contracted():
 def test_sum_type_rule():
     # connected_sum welds any pair; reduction's welding of normal forms
     # reads the type rule off vertex parity, odd vertices black.
-    t1 = gs.make_T1()
+    t1 = gs.make_T(1)
     assert gs.connected_sum(t1, 6, t1, 2).n == 10
     weld = gs.reduction._weld
     with pytest.raises(gs.GemError, match="vertices 6 and 2 are both white"):
@@ -478,10 +483,10 @@ def brute_force_seams(g):
 
 
 @pytest.mark.parametrize("maker, trivial, proper", [
-    (gs.make_T1, 6, 0),
-    (gs.make_P1, 4, 0),
-    (gs.make_P2, 6, 1),
-])
+    (lambda: gs.make_T(1), 6, 0),
+    (lambda: gs.make_P(1), 4, 0),
+    (p2_hexagon, 6, 1),
+], ids=["make_T1-6-0", "make_P1-4-0", "make_P2-6-1"])
 def test_seams_against_oracle(maker, trivial, proper):
     g = maker()
     oracle = brute_force_seams(g)
@@ -513,7 +518,7 @@ def test_trivial_seam_counts():
 
 
 def test_seams_relabel_stability():
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     rng = random.Random(7)
     perm = random_relabeling(g, rng)
     h = gs.relabel(g, perm)
@@ -530,7 +535,7 @@ def test_seams_relabel_stability():
 
 
 def test_extract_round_trip():
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     for s in gs.find_seams(g):
         g1, u, g2, v = gs.extract_summands(g, s)
         back = gs.connected_sum(g1, u, g2, v)
@@ -538,18 +543,18 @@ def test_extract_round_trip():
 
 
 def test_extract_figure_summands():
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     proper = [s for s in gs.find_seams(g) if s.proper]
     assert proper
     for s in proper:
         g1, _, g2, _ = gs.extract_summands(g, s)
         small, big = (g1, g2) if g1.n < g2.n else (g2, g1)
-        assert gs.are_isomorphic(small, gs.make_P1()) is not None
-        assert gs.are_isomorphic(big, gs.make_T1()) is not None
+        assert gs.are_isomorphic(small, gs.make_P(1)) is not None
+        assert gs.are_isomorphic(big, gs.make_T(1)) is not None
 
 
 def test_extract_trivial_seam_gives_l():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     for s in gs.find_seams(g):
         g1, u, g2, v = gs.extract_summands(g, s)
         small = g1 if g1.n == 2 else g2
@@ -560,7 +565,7 @@ def test_extract_trivial_seam_gives_l():
 
 def _unbound_seams():
     """Proper seams that do not carry P(2), each with P(2)'s seam triple and wrong sides."""
-    g = gs.make_P2()
+    g = p2_hexagon()
     s = next(s for s in gs.find_seams(g) if s.proper)  # sides {1,2,6} and {3,4,5}
     assert s.graph is g
     hand_built = gs.Seam(s.edges, frozenset({1, 2, 5}), frozenset({3, 4, 6}), True)
@@ -583,7 +588,7 @@ def test_unbound_seam_is_checked_again(kind):
 
 
 def test_seam_graph_is_outside_equality_and_repr():
-    g = gs.make_P2()
+    g = p2_hexagon()
     s = next(s for s in gs.find_seams(g) if s.proper)
     copy = dataclasses.replace(s)
     assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
@@ -593,8 +598,8 @@ def test_seam_graph_is_outside_equality_and_repr():
 def test_extract_rejects_bogus_seam():
     # P2's proper seam uses the color-2 edge {1,4}, which the hexagon shares,
     # but its sides are not a valid split of the hexagon graph.
-    g = gs.make_T1()
-    seam = next(s for s in gs.find_seams(gs.make_P2()) if s.proper)
+    g = gs.make_T(1)
+    seam = next(s for s in gs.find_seams(p2_hexagon()) if s.proper)
     with pytest.raises(gs.SeamError):
         gs.extract_summands(g, seam)
 
@@ -628,7 +633,7 @@ def test_edge_by_edge_witness_agrees_with_relabel():
     counting as invalid."""
     rng = random.Random(21)
     verdicts = []
-    for g in [gs.make_L(), gs.make_P2(), gs.make_T(3), random_contracted(rng, 30, False)]:
+    for g in [gs.make_L(), p2_hexagon(), gs.make_T(3), random_contracted(rng, 30, False)]:
         sigma = random_relabeling(g, rng)
         n = g.n
         for h in (g, gs.relabel(g, sigma)):
@@ -652,7 +657,7 @@ def test_edge_by_edge_witness_agrees_with_relabel():
                 verdicts.append(verdict)
     assert True in verdicts and False in verdicts
     # Both verdicts reach verify_certificate unchanged.
-    g = gs.make_T1()
+    g = gs.make_T(1)
     identity = [(v, v) for v in range(1, 7)]
     for pairs, ok in ((identity, True), ([(1, 1)] * 6, False),
                       ([(1, 2)] + identity, False),    # a repeated key, last wins in a dict
@@ -683,7 +688,7 @@ def _seam_from_side_by_edge_scan(g, side):
 
 def test_seam_from_side_matches_the_edge_scan():
     rng = random.Random(22)
-    graphs = [gs.make_L(), gs.make_P2(), gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4),
+    graphs = [gs.make_L(), p2_hexagon(), gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4),
               gs.make_P(4), gs.relabel(gs.make_T(3), random_relabeling(gs.make_T(3), rng))]
     outcomes = set()
     for g in graphs:

@@ -24,7 +24,7 @@ from test_golden import random_contracted
 
 
 def test_graph_round_trip_exact():
-    for g in (gs.make_L(), gs.make_P1(), gs.make_T(2), gs.make_P(4)):
+    for g in (gs.make_L(), gs.make_P(1), gs.make_T(2), gs.make_P(4)):
         text = fileio.write_graph(g)
         assert fileio.parse_graph(text) == g
         assert fileio.write_graph(fileio.parse_graph(text)) == text
@@ -62,7 +62,7 @@ def test_graph_errors_positioned(text, line, needle):
 
 
 def test_graph_too_many_edges():
-    t1 = fileio.write_graph(gs.make_T1())
+    t1 = fileio.write_graph(gs.make_T(1))
     text = t1 + "edge 0 1 2\n"
     with pytest.raises(FormatError, match="too many") as exc:
         fileio.parse_graph(text)
@@ -97,7 +97,7 @@ def test_trace_round_trip_exact():
 
 
 def test_trace_with_every_record_kind():
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_P1(), 1)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_P(1), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper)
     g2 = gs.apply_move(g, gs.Interchange(seam.edges, 1, 1))
     cut = next(iter(enumerate_cut_specs(g2)))
@@ -130,7 +130,7 @@ def test_trace_parse_errors():
 
 
 def _sample_certificate():
-    g = gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9)
+    g = gs.connected_sum(gs.make_P(1), 3, gs.make_T(2), 9)
     form, cert = gs.reduce(g)
     return g, form, cert
 
@@ -183,12 +183,12 @@ def test_certificate_tamper_caught_at_verify():
 
 
 @pytest.mark.parametrize("g", [
-    gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9),
+    gs.connected_sum(gs.make_P(1), 3, gs.make_T(2), 9),
     gs.connected_sum(gs.make_T(3), 7, gs.make_P(4), 2),
     gs.connected_sum(gs.make_T(2), 10, gs.make_T(3), 1),
     gs.make_P(9),
     random_contracted(random.Random(66), 66, False),
-    gs.make_T1(),
+    gs.make_T(1),
 ], ids=["P1+T2", "T3+P4", "T2+T3", "P9", "n66", "T1"])
 def test_write_certificate_fingerprints_only_the_root(monkeypatch, g):
     """The writer labels no graph, except the input of a certificate whose
@@ -243,7 +243,7 @@ def _mutation_inputs():
     trace, an interchange trace and the reduced certificate of a few small
     sums with mixed blocks; ``check`` runs the text of a possibly mutated
     copy, and ``write_back`` parses it and writes it out again."""
-    sums = ((gs.make_P1(), 3, gs.make_T(2), 9),
+    sums = ((gs.make_P(1), 3, gs.make_T(2), 9),
             (gs.make_T(2), 7, gs.make_P(2), 2),
             (gs.make_P(2), 1, gs.make_T(1), 1))
     cases = []

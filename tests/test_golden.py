@@ -136,7 +136,7 @@ def interchange_graphs():
         g1, g2 = gs.make_T(a), gs.make_T(b)
         g = gs.connected_sum(g1, rng.randint(1, g1.n), g2, rng.randint(1, g2.n))
         graphs[f"sum{k}-T{a}-T{b}"] = _shuffled(g, rng)
-    graphs["sum-P1-T1"] = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 1)
+    graphs["sum-P1-T1"] = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 1)
     t2 = gs.make_T(2)
     for i, spec in enumerate(itertools.islice(enumerate_cut_specs(t2), 20)):
         graphs[f"cut-T2-{i:02d}"] = gs.simple_cut(t2, spec)
@@ -162,9 +162,9 @@ def rewrite_graphs():
     rng = random.Random(3101)
     for tv, pv in itertools.product(range(1, 7), range(1, 5)):
         for first in ("T", "P"):
-            g = gs.connected_sum(gs.make_T1(), tv, gs.make_P1(), pv)
+            g = gs.connected_sum(gs.make_T(1), tv, gs.make_P(1), pv)
             if first == "P":
-                g = gs.connected_sum(gs.make_P1(), pv, gs.make_T1(), tv)
+                g = gs.connected_sum(gs.make_P(1), pv, gs.make_T(1), tv)
             for k in range(6):
                 graphs[f"weld-T{tv}-P{pv}-{first}-r{k}"] = _shuffled(g, rng)
     return graphs
@@ -259,6 +259,13 @@ def prism(k: int):
     rows = [m0 + [v + k for v in m0[1:]], m1 + [v + k for v in m1[1:]]]
     m2 = [0] + [i + k for i in range(1, k + 1)] + list(range(1, k + 1))
     return graph_from_matchings(2 * k, *rows, m2)
+
+
+def p2_hexagon():
+    """The non-bipartite contracted 6-vertex graph on the standard hexagon, colour
+    2 on {1, 4}, {2, 6} and {3, 5}: isomorphic to make_P(2), not equal to it."""
+    m0, m1 = _standard_cycle(6)
+    return graph_from_matchings(6, m0, m1, [0, 4, 6, 5, 1, 3, 2])
 
 
 def _walk_closes_at(n: int, ma, mb) -> bool:

@@ -8,7 +8,7 @@ from gemsurf import CutGlue, Glue, GlueSpec, Interchange, MoveError, TraceError
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.moves import cut_spec, enumerate_cut_specs, enumerate_glue_specs, other_colors
 from gemsurf.surfaces import complex_stats
-from test_golden import prism
+from test_golden import p2_hexagon, prism
 
 
 def catalog_graphs(max_n):
@@ -48,7 +48,7 @@ def test_cut_of_welded_graph_matches_the_drawing():
     # at the color-0 edge {7,8} and color-1 edge {5,6}: z1 = 9 lands on the
     # arc through 6 with a 1-edge to 6 and a 0-edge to 7; z2 = 10 takes the
     # other arc with a 1-edge to 5 and a 0-edge to 8.
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     gbar = gs.simple_cut(g, cut_spec(2, (7, 8), (5, 6), arc_vertex=6))
     assert gbar.n == 10
     assert gbar.neighbor(1, 9) == 6 and gbar.neighbor(0, 9) == 7
@@ -63,7 +63,7 @@ def test_glue_at_drawn_pair_gives_the_drawn_chain():
     # a chain of three K4 blocks whose middle block's welded slots are
     # joined by a color-2 edge.  That chain is equivalent to P(3) but not
     # isomorphic to make_P(3), whose middle slots are color-1 related.
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     gbar = gs.simple_cut(g, cut_spec(2, (7, 8), (5, 6), arc_vertex=6))
     h = gs.simple_glue(gbar, GlueSpec(2, (2, 4)))
     expected = {
@@ -77,7 +77,7 @@ def test_glue_at_drawn_pair_gives_the_drawn_chain():
 
 
 def test_cut_requires_common_cycle():
-    g = gs.connected_sum(gs.make_T1(), 1, gs.make_T1(), 2)
+    g = gs.connected_sum(gs.make_T(1), 1, gs.make_T(1), 2)
     spec2 = next(s for s in enumerate_cut_specs(g) if s.cut_color == 2)
     gbar = gs.simple_cut(g, spec2)
     a, b = other_colors(2)
@@ -91,7 +91,7 @@ def test_cut_requires_common_cycle():
 
 def test_cut_rejects_wrong_color_edge():
     with pytest.raises(MoveError, match="not an edge"):
-        gs.simple_cut(gs.make_T1(), cut_spec(2, (2, 3), (2, 3)))
+        gs.simple_cut(gs.make_T(1), cut_spec(2, (2, 3), (2, 3)))
 
 
 def test_cut_splits_cycle_counts():
@@ -220,7 +220,7 @@ def test_cut_matches_the_decomposition_based_cut():
 def test_cut_with_unsorted_edges_cuts_like_its_sorted_twin():
     # The decomposition-based cut compared sorted pairs only, so a hand-built
     # spec with an unsorted edge was reported as lying on different cycles.
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_T1(), 4)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_T(1), 4)
     sorted_cut = gs.simple_cut(g, cut_spec(2, (7, 8), (5, 6), arc_vertex=6))
     assert gs.simple_cut(g, gs.CutSpec(2, (8, 7), (6, 5), 6)) == sorted_cut
     assert gs.simple_cut(g, gs.CutSpec(2, (8, 7), (5, 6), 6)) == sorted_cut
@@ -234,7 +234,7 @@ def test_cut_with_unsorted_edges_cuts_like_its_sorted_twin():
 
 
 def test_glue_requires_c_edge_and_distinct_cycles():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     with pytest.raises(MoveError, match="no color-2 edge"):
         gs.simple_glue(g, GlueSpec(2, (1, 2)))
     # (1,4) is a color-2 edge but the hexagon is a single {0,1}-cycle
@@ -293,7 +293,7 @@ def test_glue_conservation():
 
 
 def test_cut_and_glue_identity():
-    g = gs.make_P2()
+    g = p2_hexagon()
     spec = next(iter(enumerate_cut_specs(g)))
     h = gs.cut_and_glue(g, spec, GlueSpec(spec.cut_color, (g.n + 1, g.n + 2)))
     assert gs.are_isomorphic(h, g) is not None
@@ -311,7 +311,7 @@ def test_cut_and_glue_preserves_hamiltonicity_when_legal():
 
 
 def test_cut_and_glue_color_mismatch():
-    g = gs.make_P2()
+    g = p2_hexagon()
     spec = next(iter(enumerate_cut_specs(g)))
     other = (spec.cut_color + 1) % 3
     with pytest.raises(MoveError, match="same chosen color"):
@@ -370,9 +370,9 @@ def test_cut_and_glue_matches_glue_after_cut():
 
 
 def test_interchange_p1p1_all_choices_give_p2():
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_P1(), 1)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_P(1), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper)
-    p2 = gs.make_P2()
+    p2 = p2_hexagon()
     for u_new in range(1, 5):
         for v_new in range(1, 5):
             h = gs.interchange(g, seam, u_new, v_new)
@@ -381,7 +381,7 @@ def test_interchange_p1p1_all_choices_give_p2():
 
 
 def test_interchange_identity():
-    g = gs.connected_sum(gs.make_T1(), 6, gs.make_T1(), 1)
+    g = gs.connected_sum(gs.make_T(1), 6, gs.make_T(1), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper and len(s.side_a) == 5)
     g1, a1, g2, a2 = gs.extract_summands(g, seam)
     h = gs.interchange(g, seam, a1, a2)
@@ -391,7 +391,7 @@ def test_interchange_identity():
 def test_interchange_type_rule_split():
     # Both summands bipartite: exactly the opposite-type pairs are legal,
     # with types anchored to the parent graph's bipartition.
-    g = gs.connected_sum(gs.make_T1(), 6, gs.make_T1(), 1)
+    g = gs.connected_sum(gs.make_T(1), 6, gs.make_T(1), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper and len(s.side_a) == 5)
     legal = illegal = 0
     for u_new in range(1, 7):
@@ -408,7 +408,7 @@ def test_interchange_type_rule_split():
 
 
 def test_interchange_needs_proper_seam():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     seam = gs.find_seams(g)[0]
     with pytest.raises(MoveError, match="proper"):
         gs.interchange(g, seam, 1, 1)
@@ -420,7 +420,7 @@ def test_interchange_needs_proper_seam():
 
 
 def test_empty_trace():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     trace, final = gs.record_trace(g, [])
     assert final == g
     assert gs.verify_trace(g, trace) == g
@@ -451,16 +451,16 @@ def test_trace_replay_deterministic():
 
 
 def test_interchange_move_in_trace():
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_P1(), 1)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_P(1), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper)
     move = Interchange(seam.edges, 2, 3)
     trace, final = gs.record_trace(g, [move])
     assert gs.verify_trace(g, trace) == final
-    assert gs.are_isomorphic(final, gs.make_P2()) is not None
+    assert gs.are_isomorphic(final, p2_hexagon()) is not None
 
 
 def test_interchange_step_derives_its_seam_once(monkeypatch):
-    g = gs.connected_sum(gs.make_P1(), 1, gs.make_P1(), 1)
+    g = gs.connected_sum(gs.make_P(1), 1, gs.make_P(1), 1)
     seam = next(s for s in gs.find_seams(g) if s.proper)
     derive, calls = gs.core._seam_from_triple, []
 
@@ -475,7 +475,7 @@ def test_interchange_step_derives_its_seam_once(monkeypatch):
 
 
 def test_interchange_move_rejects_non_seam():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     bogus = ((1, 2), (4, 5), (3, 6))  # removal leaves the hexagon connected
     with pytest.raises(MoveError, match="not a seam"):
         gs.apply_move(g, Interchange(bogus, 1, 1))
@@ -498,7 +498,7 @@ def test_fingerprint_text_is_the_canonical_graph_written_out(k, weld):
     if k == 1:
         g = gs.make_L()
     else:
-        g = gs.connected_sum(prism(k), 1, gs.make_P1(), 1) if weld else prism(k)
+        g = gs.connected_sum(prism(k), 1, gs.make_P(1), 1) if weld else prism(k)
     rows = gs.canonical_graph(g).matchings
     assert gs.fingerprint(g) == f"{g.n}:" + ":".join(".".join(str(x) for x in m[1:]) for m in rows)
 

@@ -11,9 +11,9 @@ import random
 import pytest
 
 import gemsurf as gs
-from gemsurf.catalog import _standard_cycle_matchings
 from gemsurf.core import _seam_from_triple, connected_components, graph_from_matchings
 from gemsurf.moves import enumerate_cut_specs
+from gemsurf.reduction import _cycle_rows
 
 nx = pytest.importorskip("networkx")
 SAME_COLORS = nx.algorithms.isomorphism.categorical_multiedge_match("color", None)
@@ -97,7 +97,7 @@ def test_catalog_n12_partition_matches_networkx():
     for a, b in itertools.combinations(classes, 2):
         assert not nx.is_isomorphic(a, b, edge_match=SAME_COLORS)
     rng = random.Random(12)
-    m0, m1 = _standard_cycle_matchings(12)
+    m0, m1 = _cycle_rows(12)
     hits = 0
     while hits < 20:
         vertices = list(range(1, 13))

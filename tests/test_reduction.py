@@ -21,7 +21,6 @@ from gemsurf.reduction import (
     IsoCert,
     TraceCert,
     _anchors,
-    _choose_anchor,
     _remainder_is_bipartite,
     _split_P1,
     _weld,
@@ -31,7 +30,7 @@ from gemsurf.reduction import (
     form_T,
 )
 from gemsurf.surfaces import complex_stats
-from test_golden import circ, random_contracted
+from test_golden import circ, p2_hexagon, random_contracted
 
 
 def chi(g):
@@ -45,17 +44,20 @@ def chi(g):
 
 def test_generator_shapes():
     assert gs.make_L().n == 2
-    p1 = gs.make_P1()
+    p1 = gs.make_P(1)
     assert p1.n == 4 and gs.is_contracted(p1) and gs.is_bipartite(p1) is None
-    t1 = gs.make_T1()
+    t1 = gs.make_T(1)
     assert t1.n == 6 and gs.is_contracted(t1) and gs.is_bipartite(t1) is not None
-    p2 = gs.make_P2()
+    p2 = p2_hexagon()
     assert gs.is_contracted(p2) and gs.is_bipartite(p2) is None
     assert gs.are_isomorphic(p2, t1) is None
 
 
 def test_make_p2_matches_catalog_graph():
-    assert gs.are_isomorphic(gs.make_P(2), gs.make_P2()) is not None
+    """The hexagon P(2) of the tests is an isomorph of make_P(2), not its graph,
+    so the inputs built from each stay what they were."""
+    assert gs.are_isomorphic(gs.make_P(2), p2_hexagon()) is not None
+    assert gs.make_P(2) != p2_hexagon()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -81,9 +83,9 @@ def test_family_bad_index():
 
 @functools.cache
 def left_fold(kind, k):
-    """k copies of ``make_P1()`` or ``make_T1()``, each welded at the
+    """k copies of ``make_P(1)`` or ``make_T(1)``, each welded at the
     accumulator's last vertex and its vertex 1; the fold of k-1 is kept."""
-    block = gs.make_P1() if kind == "P" else gs.make_T1()
+    block = gs.make_P(1) if kind == "P" else gs.make_T(1)
     if k == 1:
         return block
     g = left_fold(kind, k - 1)
@@ -226,7 +228,7 @@ def test_root3_beats_root2_in_t():
 
 
 def test_smallest_forms_are_vertex_transitive():
-    for g in (gs.make_L(), gs.make_P1(), gs.make_T1()):
+    for g in (gs.make_L(), gs.make_P(1), gs.make_T(1)):
         assert len({gs.reduction._walk_label(g, r) for r in range(1, g.n + 1)}) == 1
 
 
@@ -273,9 +275,9 @@ def test_canonical_of_bad_n():
 
 def test_split_t1_on_t2():
     sp = gs.split_off_T1(gs.make_T(2))
-    assert gs.are_isomorphic(sp.remainder, gs.make_T1()) is not None
+    assert gs.are_isomorphic(sp.remainder, gs.make_T(1)) is not None
     assert gs.verify_trace(gs.make_T(2), sp.trace) == sp.final
-    assert gs.are_isomorphic(sp.piece, gs.make_T1()) is not None
+    assert gs.are_isomorphic(sp.piece, gs.make_T(1)) is not None
 
 
 def assert_piece_witness(sp, form):
@@ -301,14 +303,16 @@ def test_split_t1_on_all_ten_vertex_bipartite():
 def test_split_t1_preconditions():
     with pytest.raises(ReductionError):
         gs.split_off_T1(gs.make_P(3))  # non-bipartite
+    with pytest.raises(ReductionError, match="requires a bipartite graph"):
+        gs.split_off_T1(gs.make_P(4))  # non-bipartite, n = 4q+2
     with pytest.raises(ReductionError):
-        gs.split_off_T1(gs.make_T1())  # too small
+        gs.split_off_T1(gs.make_T(1))  # too small
 
 
 def test_split_p1_on_p2():
     sp = gs.split_off_P1(gs.make_P(2))
-    assert gs.are_isomorphic(sp.remainder, gs.make_P1()) is not None
-    assert gs.are_isomorphic(sp.piece, gs.make_P1()) is not None
+    assert gs.are_isomorphic(sp.remainder, gs.make_P(1)) is not None
+    assert gs.are_isomorphic(sp.piece, gs.make_P(1)) is not None
 
 
 def test_split_p1_on_all_eight_vertex():
@@ -320,24 +324,36 @@ def test_split_p1_on_all_eight_vertex():
         assert_piece_witness(sp, form_P(1))
 
 
-def test_split_p1_remainder_both_parities_occur():
-    kinds = set()
-    for e in enumerate_contracted(12).classes:
-        sp = gs.split_off_P1(e.graph)
-        kinds.add(gs.is_bipartite(sp.remainder) is not None)
-        assert_piece_witness(sp, form_P(1))
-    assert kinds == {True, False}
+def test_split_p1_keeps_the_remainder_non_bipartite():
+    """On every non-bipartite catalog class with n <= 12.  That both remainder
+    parities occur is checked anchor by anchor by the parity-rule tests."""
+    for n in range(6, 13, 2):
+        for e in enumerate_contracted(n).classes:
+            if e.bipartite:
+                continue
+            sp = gs.split_off_P1(e.graph)
+            assert gs.is_bipartite(sp.remainder) is None
+            assert_piece_witness(sp, form_P(1))
+
+
+@pytest.mark.parametrize("bipartite", [True, False])
+def test_reduce_takes_the_public_split(bipartite):
+    """The root trace of ``reduce`` is the trace of the public split."""
+    g = random_contracted(random.Random(66), 66, bipartite)
+    _, cert = gs.reduce(g)
+    split = gs.split_off_T1 if bipartite else gs.split_off_P1
+    assert cert.root.trace == split(g).trace
 
 
 def test_split_p1_preconditions():
-    with pytest.raises(ReductionError):
+    with pytest.raises(ReductionError, match="requires a non-bipartite graph"):
         gs.split_off_P1(gs.make_T(2))  # bipartite
     with pytest.raises(ReductionError):
-        gs.split_off_P1(gs.make_P1())  # too small
+        gs.split_off_P1(gs.make_P(1))  # too small
 
 
 def reference_anchor(g, bipartite):
-    """The scan ``_choose_anchor`` replaced: build all n standard labelings and a
+    """The scan ``_anchors`` replaced: build all n standard labelings and a
     position map for each, and keep the least (j, s, t), first found on ties."""
     cyc = gs.bicolored_cycles(g, 0, 1).cycles[0]
     n = len(cyc)
@@ -373,7 +389,7 @@ def test_choose_anchor_matches_every_labeling_scan():
     graphs = anchor_inputs()
     assert {bip for _, bip in graphs} == {True, False}
     for g, bipartite in graphs:
-        assert _choose_anchor(g, bipartite) == reference_anchor(g, bipartite)
+        assert next(_anchors(g, bipartite)) == reference_anchor(g, bipartite)
 
 
 # ============================================================
@@ -385,7 +401,7 @@ def test_rewrite_all_weldings():
     p3 = gs.make_P(3)
     for tv in range(1, 7):
         for pv in range(1, 5):
-            g = gs.connected_sum(gs.make_T1(), tv, gs.make_P1(), pv)
+            g = gs.connected_sum(gs.make_T(1), tv, gs.make_P(1), pv)
             trace, final = gs.rewrite_TP1_to_P3(g, seam_from_side(g, frozenset(range(1, 6))))
             assert final == gs.verify_trace(g, trace)
             assert final.n == 8
@@ -398,7 +414,7 @@ def test_rewrite_rejects_wrong_graph():
         gs.rewrite_TP1_to_P3(p3, seam_from_side(p3, frozenset({1, 2, 3})))  # K4 # P(2)
     with pytest.raises(ReductionError):
         gs.rewrite_TP1_to_P3(gs.make_T(2), seam_from_side(
-            gs.connected_sum(gs.make_T1(), 1, gs.make_P1(), 1), frozenset(range(1, 6))))
+            gs.connected_sum(gs.make_T(1), 1, gs.make_P(1), 1), frozenset(range(1, 6))))
 
 
 # ============================================================
@@ -407,12 +423,12 @@ def test_rewrite_rejects_wrong_graph():
 
 
 def test_reduce_base_cases():
-    form, cert = gs.reduce(gs.make_T1())
+    form, cert = gs.reduce(gs.make_T(1))
     assert form == form_T(1)
     assert isinstance(cert.root, IsoCert)  # no moves needed
     assert gs.reduce(gs.make_L())[0] == form_L()
-    assert gs.reduce(gs.make_P1())[0] == form_P(1)
-    assert gs.reduce(gs.make_P2())[0] == form_P(2)
+    assert gs.reduce(gs.make_P(1))[0] == form_P(1)
+    assert gs.reduce(p2_hexagon())[0] == form_P(2)
 
 
 def test_reduce_requires_contracted():
@@ -482,7 +498,7 @@ def test_reduce_mixed_sum_welds_only_p_forms(monkeypatch, p, k):
 def test_reduce_mixed_chain_deep():
     """The deep sum T(3) # P(1) reduces to P(7) with no 8-vertex rewrite: no
     trace holds a colour-1 cut, and the verifier accepts the certificate."""
-    g = gs.connected_sum(gs.make_T(3), 5, gs.make_P1(), 2)
+    g = gs.connected_sum(gs.make_T(3), 5, gs.make_P(1), 2)
     form, cert = gs.reduce(g)
     assert form == form_P(7)
     traces, _ = _records(cert)
@@ -495,7 +511,7 @@ def test_reduce_mixed_chain_deep():
 def test_reduce_raises_when_no_split_keeps_the_parity(monkeypatch):
     """Where every K4 split leaves a bipartite remainder, ``reduce`` says so
     rather than end the anchor scan with a bare StopIteration."""
-    g = gs.connected_sum(gs.make_T(2), 5, gs.make_P1(), 2)
+    g = gs.connected_sum(gs.make_T(2), 5, gs.make_P(1), 2)
     monkeypatch.setattr(gs.reduction, "_remainder_is_bipartite", lambda h, *anchor: True)
     with pytest.raises(ReductionError, match="no K4 split keeps the remainder non-bipartite"):
         gs.reduce(g)
@@ -615,8 +631,8 @@ def _max_stack_depth(fn):
 
 
 @pytest.mark.parametrize("small, large", [
-    (gs.connected_sum(gs.make_P1(), 1, gs.make_T(4), 1),
-     gs.connected_sum(gs.make_P1(), 1, gs.make_T(8), 1)),
+    (gs.connected_sum(gs.make_P(1), 1, gs.make_T(4), 1),
+     gs.connected_sum(gs.make_P(1), 1, gs.make_T(8), 1)),
     (gs.connected_sum(gs.make_P(4), 1, gs.make_P(4), 1),
      gs.connected_sum(gs.make_P(8), 1, gs.make_P(8), 1)),
 ], ids=["P1+T4-vs-P1+T8", "P4+P4-vs-P8+P8"])
@@ -765,7 +781,7 @@ def _assert_memo_closed(g, labelled):
 
 
 def test_fingerprint_memo_ends_with_reduce(monkeypatch):
-    g = gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9)
+    g = gs.connected_sum(gs.make_P(1), 3, gs.make_T(2), 9)
     labelled = _count_labellings(monkeypatch)
     gs.reduce(g)
     _assert_memo_closed(g, labelled)
@@ -802,7 +818,7 @@ def test_verify_closes_the_memo_it_opens(monkeypatch):
 
 def test_verify_reuses_the_memo_of_reduce(monkeypatch):
     """The self-verify realizes its forms in the memo ``reduce`` opened."""
-    g = gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9)
+    g = gs.connected_sum(gs.make_P(1), 3, gs.make_T(2), 9)
     memos, in_verify = [], []
     realize, verify = gs.reduction.realize, gs.reduction.verify_certificate
 
@@ -1052,7 +1068,7 @@ def test_open_memo_still_rejects_a_tampered_trace():
 
 
 def _sample_cert():
-    g = gs.connected_sum(gs.make_P1(), 3, gs.make_T(2), 9)
+    g = gs.connected_sum(gs.make_P(1), 3, gs.make_T(2), 9)
     form, cert = gs.reduce(g)
     return g, form, cert
 
@@ -1099,7 +1115,7 @@ def test_oversized_conclusion_rejected_before_realize(monkeypatch, block):
 
 
 def test_certificate_tampered_iso_rejected():
-    g = gs.make_T1()
+    g = gs.make_T(1)
     form, cert = gs.reduce(g)
     mapping = list(cert.root.mapping)
     mapping[0], mapping[1] = (mapping[0][0], mapping[1][1]), (mapping[1][0], mapping[0][1])

@@ -5,6 +5,7 @@ from gemsurf import SurfaceError, nonorientable, orientable, sphere
 from gemsurf.catalog import enumerate_contracted
 from gemsurf.moves import enumerate_cut_specs, enumerate_glue_specs
 from gemsurf.surfaces import classify_surface, complex_stats, crystallization_of
+from test_golden import p2_hexagon
 
 
 # Hand-derived complex counts: the 2-vertex graph gives two triangles glued
@@ -22,7 +23,7 @@ def test_complex_stats_l():
 
 
 def test_complex_stats_p1():
-    st = complex_stats(gs.make_P1())
+    st = complex_stats(gs.make_P(1))
     assert st.face_count == 4
     assert st.edge_count == 6
     assert st.vertex_count == 3
@@ -30,7 +31,7 @@ def test_complex_stats_p1():
 
 
 def test_complex_stats_t1():
-    st = complex_stats(gs.make_T1())
+    st = complex_stats(gs.make_T(1))
     assert (st.face_count, st.edge_count, st.vertex_count) == (6, 9, 3)
     assert st.euler_characteristic == 0
 
@@ -47,7 +48,7 @@ def test_complex_counts_general():
 
 
 def test_complex_stats_noncontracted():
-    g = gs.simple_cut(gs.make_T1(),
+    g = gs.simple_cut(gs.make_T(1),
                       gs.moves.cut_spec(2, (1, 2), (2, 3), arc_vertex=2))
     st = complex_stats(g)
     assert st.vertex_count_per_label[2] == 2
@@ -67,9 +68,9 @@ def test_complex_stats_disconnected_raises():
 
 def test_classify_fixtures():
     assert classify_surface(gs.make_L()) == sphere()
-    assert classify_surface(gs.make_P1()) == nonorientable(1)
+    assert classify_surface(gs.make_P(1)) == nonorientable(1)
     assert classify_surface(gs.make_T(1)) == orientable(1)
-    assert classify_surface(gs.make_P2()) == nonorientable(2)
+    assert classify_surface(p2_hexagon()) == nonorientable(2)
 
 
 def test_classify_requires_contracted():
